@@ -8,7 +8,7 @@ from .model import (DEFAULT_ARCH, TINY_ARCH, Architecture, ForwardTrace, MultiOu
                     model_backward, model_forward)
 from .optim import AdamState, adam_step
 from .rng import Rng
-from .tensor import conv2d_fast, conv2d_naive, im2col, matmul, tensor_new
+from .tensor import conv2d_fast, conv2d_naive
 
 __all__ = [
     "AdamState", "Architecture", "ArchitectureMismatchError", "BadMagicError",
@@ -16,7 +16,6 @@ __all__ = [
     "LayoutError", "LossBreakdown", "MultiOutputModel", "Rng", "Sample", "ShapeError",
     "TINY_ARCH", "TruncatedFileError", "VersionMismatchError", "adam_step",
     "add_gaussian_noise", "combined_loss", "conv2d_fast", "conv2d_naive",
-    "gaussian_blur", "generate_dataset", "im2col", "matmul", "model_backward",
-    "model_forward", "render_expression", "softmax", "softmax_ce_grad", "sparse_ce",
-    "tensor_new",
+    "gaussian_blur", "generate_dataset", "model_backward", "model_forward",
+    "render_expression", "softmax", "softmax_ce_grad", "sparse_ce",
 ]

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .dataio import ByteReader
-from .errors import ArchitectureMismatchError, BadMagicError, VersionMismatchError
+from .errors import ArchitectureMismatchError, BadMagicError, ShapeError, VersionMismatchError
 from .model import Architecture, MultiOutputModel
 from .optim import AdamState
 
@@ -79,19 +79,16 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
         raise ArchitectureMismatchError(
             f"{path}: checkpoint architecture does not match the target model:\n"
             f"stored:\n{arch.to_text()}\nexpected:\n{expect_arch.to_text()}")
-    model = MultiOutputModel.init(arch, seed=0)
     n_tensors = reader.u32()
-    expected = model.param_arrays()
-    if n_tensors != len(expected):
+    n_expected = len(arch.param_shapes())
+    if n_tensors != n_expected:
         raise ArchitectureMismatchError(
-            f"{path}: {n_tensors} parameter tensors, architecture implies {len(expected)}")
+            f"{path}: {n_tensors} parameter tensors, architecture implies {n_expected}")
     tensors = [_read_tensor(reader) for _ in range(n_tensors)]
-    for have, want in zip(tensors, expected):
-        if have.shape != want.shape:
-            raise ArchitectureMismatchError(
-                f"{path}: tensor shape {have.shape} does not fit architecture "
-                f"slot of shape {want.shape}")
-    model.set_param_arrays(tensors)
+    try:
+        model = MultiOutputModel.from_arrays(arch, tensors)
+    except ShapeError as exc:
+        raise ArchitectureMismatchError(f"{path}: {exc}") from exc
     adam = None
     if reader.u8() == 1:
         lr, beta1, beta2, eps = (reader.f64() for _ in range(4))
@@ -99,4 +96,5 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
         m = [_read_tensor(reader) for _ in range(n_tensors)]
         v = [_read_tensor(reader) for _ in range(n_tensors)]
         adam = AdamState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    reader.expect_end()
     return model, adam

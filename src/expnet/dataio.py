@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Sample
-from .errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from .errors import BadMagicError, FileFormatError, TruncatedFileError, VersionMismatchError
 
 MAGIC = b"EXPD"
 VERSION = 1
@@ -61,8 +61,11 @@ class ByteReader:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def expect_end(self) -> None:
+        """Raise FileFormatError unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise FileFormatError(
+                f"{self.path}: {len(self.data) - self.pos} trailing bytes at offset {self.pos}")
 
 
 def write_dataset(samples: list[Sample], path: str,
@@ -99,11 +102,16 @@ def read_dataset(path: str) -> tuple[list[Sample], DatasetHeader]:
     base_range = (reader.u8(), reader.u8())
     exp_range = (reader.u8(), reader.u8())
     samples = []
-    for _ in range(count):
+    for i in range(count):
         pixels = np.frombuffer(reader.take(h * w), dtype=np.uint8)
         image = (pixels.astype(np.float32) / 255.0).reshape(1, h, w)
         base_label = reader.u8()
         exp_label = reader.u8()
+        if base_label > base_range[1] - base_range[0] or exp_label > exp_range[1] - exp_range[0]:
+            raise FileFormatError(
+                f"{path}: sample {i} labels ({base_label}, {exp_label}) at offset "
+                f"{reader.pos - 2} outside the header's base {base_range} / exp {exp_range}")
         meta = (reader.f32(), reader.f32(), reader.f32())
         samples.append(Sample(image, base_label, exp_label, meta))
+    reader.expect_end()
     return samples, DatasetHeader(count, (h, w), base_range, exp_range)

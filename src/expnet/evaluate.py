@@ -11,7 +11,8 @@ from .datagen import GenConfig, Sample, generate_dataset
 from .losses import softmax_ce_batch
 from .model import MultiOutputModel
 from .rng import Rng
-from .train import EVAL_CHUNK, stack_dataset
+
+EVAL_CHUNK = 256
 
 
 @dataclass
@@ -25,32 +26,49 @@ class EvalReport:
     count: int
 
 
-def evaluate(model: MultiOutputModel, dataset: list[Sample]) -> EvalReport:
-    """Argmax predictions per head; joint = both heads correct."""
-    images, base_labels, exp_labels = stack_dataset(dataset)
-    n = images.shape[0]
-    n_base, n_exp = model.arch.n_base, model.arch.n_exp
-    base_conf = np.zeros((n_base, n_base), dtype=np.int64)
-    exp_conf = np.zeros((n_exp, n_exp), dtype=np.int64)
+def stack_dataset(samples: list[Sample]):
+    """(images [N, 1, H, W] float32, base labels [N], exp labels [N])."""
+    if not samples:
+        raise ValueError("dataset is empty")
+    images = np.stack([s.image for s in samples]).astype(np.float32)
+    base = np.array([s.base_label for s in samples], dtype=np.int64)
+    exp = np.array([s.exp_label for s in samples], dtype=np.int64)
+    return images, base, exp
+
+
+def loss_and_predictions(model: MultiOutputModel, images: np.ndarray,
+                         base_labels: np.ndarray, exp_labels: np.ndarray):
+    """(summed two-head loss, base predictions [N], exp predictions [N]).
+
+    Runs the forward pass EVAL_CHUNK images at a time to bound its memory.
+    """
     loss_sum = 0.0
-    base_hits = exp_hits = joint_hits = 0
-    for lo in range(0, n, EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, n)
+    base_pred, exp_pred = [], []
+    for lo in range(0, images.shape[0], EVAL_CHUNK):
+        hi = lo + EVAL_CHUNK
         base_logits, exp_logits, _ = model.forward_batch(images[lo:hi], need_trace=False)
         base_losses, _ = softmax_ce_batch(base_logits, base_labels[lo:hi])
         exp_losses, _ = softmax_ce_batch(exp_logits, exp_labels[lo:hi])
         loss_sum += float(base_losses.sum() + exp_losses.sum())
-        base_pred = base_logits.argmax(axis=1)
-        exp_pred = exp_logits.argmax(axis=1)
-        b_ok = base_pred == base_labels[lo:hi]
-        e_ok = exp_pred == exp_labels[lo:hi]
-        base_hits += int(b_ok.sum())
-        exp_hits += int(e_ok.sum())
-        joint_hits += int((b_ok & e_ok).sum())
-        np.add.at(base_conf, (base_labels[lo:hi], base_pred), 1)
-        np.add.at(exp_conf, (exp_labels[lo:hi], exp_pred), 1)
-    return EvalReport(base_hits / n, exp_hits / n, joint_hits / n, loss_sum / n,
-                      base_conf, exp_conf, n)
+        base_pred.append(base_logits.argmax(axis=1))
+        exp_pred.append(exp_logits.argmax(axis=1))
+    return loss_sum, np.concatenate(base_pred), np.concatenate(exp_pred)
+
+
+def evaluate(model: MultiOutputModel, dataset: list[Sample]) -> EvalReport:
+    """Argmax predictions per head; joint = both heads correct."""
+    images, base_labels, exp_labels = stack_dataset(dataset)
+    n = images.shape[0]
+    loss_sum, base_pred, exp_pred = loss_and_predictions(model, images, base_labels, exp_labels)
+    b_ok = base_pred == base_labels
+    e_ok = exp_pred == exp_labels
+    n_base, n_exp = model.arch.n_base, model.arch.n_exp
+    base_conf = np.zeros((n_base, n_base), dtype=np.int64)
+    exp_conf = np.zeros((n_exp, n_exp), dtype=np.int64)
+    np.add.at(base_conf, (base_labels, base_pred), 1)
+    np.add.at(exp_conf, (exp_labels, exp_pred), 1)
+    return EvalReport(int(b_ok.sum()) / n, int(e_ok.sum()) / n, int((b_ok & e_ok).sum()) / n,
+                      loss_sum / n, base_conf, exp_conf, n)
 
 
 def _level_seed(master_seed: int, attribute: str, level: float) -> int:

@@ -7,7 +7,7 @@ Everything is re-evaluated in 64-bit: central differences at eps=1e-3 on
 The network is piecewise smooth: a central difference is only meaningful if
 p-eps, p, and p+eps all lie in the same linear region of every ReLU and the
 same routing of every max pool.  Each probe therefore records the activation
-pattern (ReLU sign masks plus pool argmax indices); elements whose pattern
+pattern (ReLU sign masks plus pool window offsets); elements whose pattern
 changes across the stencil sit on a kink or pooling tie and are excluded
 from the per-tensor maximum, mirroring how the analytic subgradient is only
 defined off those sets.
@@ -55,13 +55,8 @@ def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
                       base_label: int, exp_label: int) -> tuple[float, bytes]:
     base_logits, exp_logits, trace = model_forward(model, image)
     loss = combined_loss(base_logits, exp_logits, base_label, exp_label).total
-    parts = []
-    for kind, _, cache in trace.entries:
-        if kind == "relu":
-            parts.append(cache.tobytes())       # bool sign mask
-        elif kind == "pool":
-            parts.append(cache[0].tobytes())    # uint8 window offsets
-    return loss, b"".join(parts)
+    pattern = (*trace.relu_masks, *trace.pool_offsets, trace.dense_mask)
+    return loss, b"".join(a.tobytes() for a in pattern)
 
 
 def analytic_gradients(model: MultiOutputModel, image: np.ndarray,

@@ -1,9 +1,9 @@
 """Forward and backward passes for the individual network layers.
 
-Every op comes in a single-sample form matching the shapes used throughout
-([C, H, W] images, rank-1 dense activations) plus a batched form used by the
-training loop.  Parameters live in small layer classes; the math functions are
-pure and dtype-preserving so the 64-bit gradient checker can reuse them.
+Every op takes a batch: [B, C, H, W] feature maps, [B, F] dense activations; a
+single sample is a batch of one (``x[None]``).  Parameters live in small layer
+classes; the math functions are pure and dtype-preserving so the 64-bit
+gradient checker can reuse them.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .rng import Rng
-from .tensor import DTYPE, col2im_batch, im2col_batch, _check_conv_args, _conv_out_size
+from .tensor import col2im_batch, im2col_batch, _check_conv_args
 
 
 class ConvLayer:
@@ -27,15 +26,6 @@ class ConvLayer:
         self.stride = stride
         self.padding = padding
 
-    @classmethod
-    def init(cls, rng: Rng, in_channels: int, out_channels: int, kernel: int,
-             stride: int = 1, padding: int = 0) -> "ConvLayer":
-        fan_in = in_channels * kernel * kernel
-        bound = np.sqrt(6.0 / fan_in)
-        w = rng.uniforms(out_channels * fan_in, -bound, bound)
-        w = w.reshape(out_channels, in_channels, kernel, kernel).astype(DTYPE)
-        return cls(w, np.zeros(out_channels, dtype=DTYPE), stride, padding)
-
 
 class DenseLayer:
     """Fully connected parameters: weights [out, in], bias [out]."""
@@ -47,13 +37,6 @@ class DenseLayer:
         self.weights = weights
         self.bias = bias
 
-    @classmethod
-    def init(cls, rng: Rng, in_features: int, out_features: int) -> "DenseLayer":
-        bound = np.sqrt(6.0 / in_features)
-        w = rng.uniforms(out_features * in_features, -bound, bound)
-        w = w.reshape(out_features, in_features).astype(DTYPE)
-        return cls(w, np.zeros(out_features, dtype=DTYPE))
-
 
 # --- ReLU ---
 
@@ -61,18 +44,13 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def relu_backward(upstream: np.ndarray, cached_input: np.ndarray) -> np.ndarray:
-    """Pass upstream through where the forward input was > 0 (subgradient 0 at 0)."""
-    if upstream.shape != cached_input.shape:
-        raise ShapeError(
-            f"upstream shape {upstream.shape} != cached input shape {cached_input.shape}")
-    return upstream * (cached_input > 0)
-
-
 # --- Max pooling ---
 
 def _pool_offsets_batch(x: np.ndarray, window: int, stride: int):
-    """(pooled values, window-relative offsets int8) with row-major tie-break."""
+    """(pooled values, window-relative offsets uint8) with row-major tie-break.
+
+    Offset m * window + n names the cell at row m, column n of each window.
+    """
     b, c, h, w = x.shape
     if window > h or window > w:
         raise ShapeError(f"pool window {window} larger than input {h}x{w}")
@@ -103,6 +81,7 @@ def _pool_offsets_batch(x: np.ndarray, window: int, stride: int):
 
 def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
                                  x_shape: tuple, window: int, stride: int) -> np.ndarray:
+    """Route each upstream value to its window's recorded offset; zeros elsewhere."""
     grad = np.zeros(x_shape, dtype=upstream.dtype)
     h_out, w_out = upstream.shape[2:]
     for m in range(window):
@@ -113,74 +92,7 @@ def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
     return grad
 
 
-def maxpool_forward_batch(x: np.ndarray, window: int, stride: int):
-    """Max pool [B, C, H, W] -> ([B, C, H', W'], argmax flat row*W+col indices).
-
-    Ties go to the first window cell in row-major scan order.
-    """
-    w = x.shape[3]
-    out, offset = _pool_offsets_batch(x, window, stride)
-    h_out, w_out = out.shape[2:]
-    ii = np.arange(h_out)[:, None] * stride
-    jj = np.arange(w_out)[None, :] * stride
-    rows = ii + offset // window
-    cols = jj + offset % window
-    return out, rows.astype(np.int64) * w + cols
-
-
-def maxpool_backward_batch(upstream: np.ndarray, argmax: np.ndarray,
-                           x_shape: tuple, window: int, stride: int) -> np.ndarray:
-    """Route each upstream value to its recorded argmax position; zeros elsewhere."""
-    b, c, h, w = x_shape
-    if upstream.shape != argmax.shape:
-        raise ShapeError(f"upstream shape {upstream.shape} != argmax shape {argmax.shape}")
-    if argmax.size and (argmax.min() < 0 or argmax.max() >= h * w):
-        raise ShapeError("argmax index out of bounds for input shape")
-    h_out, w_out = upstream.shape[2:]
-    ii = np.arange(h_out)[:, None] * stride
-    jj = np.arange(w_out)[None, :] * stride
-    offset = (argmax // w - ii) * window + (argmax % w - jj)
-    grad = np.zeros(x_shape, dtype=upstream.dtype)
-    for m in range(window):
-        for n in range(window):
-            mask = offset == m * window + n
-            grad[:, :, m:m + (h_out - 1) * stride + 1:stride,
-                 n:n + (w_out - 1) * stride + 1:stride] += upstream * mask
-    return grad
-
-
-def maxpool_forward(x: np.ndarray, window: int, stride: int):
-    """Single image [C, H, W] variant; argmax holds flat row*W+col positions."""
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool input must be [C, H, W], got rank {x.ndim}")
-    out, argmax = maxpool_forward_batch(x[None], window, stride)
-    return out[0], argmax[0]
-
-
-def maxpool_backward(upstream: np.ndarray, argmax: np.ndarray, input_shape: tuple,
-                     window: int, stride: int) -> np.ndarray:
-    grad = maxpool_backward_batch(upstream[None], argmax[None],
-                                  (1, *input_shape), window, stride)
-    return grad[0]
-
-
 # --- Dense ---
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    if x.ndim != 1 or x.shape[0] != layer.weights.shape[1]:
-        raise ShapeError(
-            f"dense input shape {x.shape} does not match weights {layer.weights.shape}")
-    return layer.weights @ x + layer.bias
-
-
-def dense_backward(layer: DenseLayer, upstream: np.ndarray, cached_x: np.ndarray):
-    """Returns (grad_weights, grad_bias, grad_x)."""
-    if upstream.shape != layer.bias.shape or cached_x.shape[0] != layer.weights.shape[1]:
-        raise ShapeError("dense backward shapes inconsistent with layer")
-    grad_w = np.outer(upstream, cached_x)
-    grad_x = layer.weights.T @ upstream
-    return grad_w, upstream.copy(), grad_x
-
 
 def dense_forward_batch(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
@@ -213,7 +125,6 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray):
 def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache):
     """Returns (grad_weights, grad_bias, grad_x) summed over the batch."""
     cols, x_shape = cache
-    b = x_shape[0]
     k, _, m, n = layer.weights.shape
     u2 = upstream.transpose(1, 0, 2, 3).reshape(k, -1)
     grad_w = (u2 @ cols.T).reshape(layer.weights.shape)
@@ -222,20 +133,3 @@ def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache):
     grad_x = col2im_batch(grad_cols, x_shape, m, n, layer.stride, layer.padding)
     return grad_w, grad_b, grad_x
 
-
-def conv2d_backward(layer: ConvLayer, upstream: np.ndarray, cached_input: np.ndarray):
-    """Single-image adjoint of the convolution sum.
-
-    grad_bias[k] = sum_{i,j} upstream[k, i, j]; grad_weights and grad_input by
-    the transposed correlations of the forward pass.
-    """
-    h_out, w_out = _check_conv_args(cached_input, layer.weights, layer.bias,
-                                    layer.stride, layer.padding)
-    if upstream.shape != (layer.weights.shape[0], h_out, w_out):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} does not match conv output "
-            f"{(layer.weights.shape[0], h_out, w_out)}")
-    m, n = layer.weights.shape[2:]
-    cols = im2col_batch(cached_input[None], m, n, layer.stride, layer.padding)
-    grad_w, grad_b, grad_x = conv_backward_batch(layer, upstream[None], (cols, (1, *cached_input.shape)))
-    return grad_w, grad_b, grad_x[0]

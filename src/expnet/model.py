@@ -9,7 +9,7 @@ immutable during a pass and batches can be processed independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
                      _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
                      dense_backward_batch, dense_forward_batch, relu_forward)
 from .rng import Rng
+from .tensor import DTYPE
 
 N_BASE_CLASSES = 8    # digits 2..9
 N_EXP_CLASSES = 10    # digits 0..9
@@ -55,6 +56,25 @@ class Architecture:
     def feature_size(self) -> int:
         c, h, w = self.stage_shapes()[-1]
         return c * h * w
+
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter tensor: each layer's weights then bias.
+
+        This order is the model's parameter order everywhere: gradients,
+        Adam moments and checkpoint tensors.
+        """
+        layers = []
+        in_c = 1
+        for i, out_c in enumerate(self.conv_channels):
+            layers.append((f"conv{i}", (out_c, in_c, self.kernel, self.kernel)))
+            in_c = out_c
+        layers += [("dense", (self.dense_width, self.feature_size())),
+                   ("base_head", (self.n_base, self.dense_width)),
+                   ("exp_head", (self.n_exp, self.dense_width))]
+        shapes = []
+        for name, w_shape in layers:
+            shapes += [(f"{name}.weights", w_shape), (f"{name}.bias", w_shape[:1])]
+        return shapes
 
     def to_text(self) -> str:
         return "\n".join([
@@ -95,14 +115,22 @@ TINY_ARCH = Architecture(input_hw=(16, 16), conv_channels=(4, 8), dense_width=16
 
 @dataclass
 class ForwardTrace:
-    """Per-layer caches recorded by a forward pass, consumed by backward."""
+    """Caches recorded by a forward pass, consumed by backward.
 
-    entries: list = field(default_factory=list)
-    batch: int = 1
+    The three lists hold one entry per conv stage, in forward order.
+    """
+
+    batch: int
+    conv_caches: list          # conv_forward_batch caches
+    relu_masks: list           # conv output > 0
+    pool_offsets: list         # uint8 window offsets
+    flat: np.ndarray           # flattened features, the dense input
+    dense_mask: np.ndarray     # dense pre-activation > 0
+    hidden: np.ndarray         # hidden activations, the heads' input
 
 
 class MultiOutputModel:
-    """Trunk shared by two classifier heads; parameters in definition order."""
+    """Trunk shared by two classifier heads; parameters in Architecture.param_shapes() order."""
 
     def __init__(self, arch: Architecture, convs: list[ConvLayer], dense: DenseLayer,
                  base_head: DenseLayer, exp_head: DenseLayer):
@@ -113,62 +141,50 @@ class MultiOutputModel:
         self.exp_head = exp_head
 
     @classmethod
-    def init(cls, arch: Architecture, seed: int) -> "MultiOutputModel":
-        """Fan-in-scaled uniform weights, zero biases, one substream per tensor."""
-        rng = Rng(seed)
-        convs = []
-        in_c = 1
-        for i, out_c in enumerate(arch.conv_channels):
-            convs.append(ConvLayer.init(rng.substream(i), in_c, out_c, arch.kernel,
-                                        arch.conv_stride, arch.conv_padding))
-            in_c = out_c
-        n = len(arch.conv_channels)
-        dense = DenseLayer.init(rng.substream(n), arch.feature_size(), arch.dense_width)
-        base_head = DenseLayer.init(rng.substream(n + 1), arch.dense_width, arch.n_base)
-        exp_head = DenseLayer.init(rng.substream(n + 2), arch.dense_width, arch.n_exp)
+    def from_arrays(cls, arch: Architecture, arrays: list[np.ndarray]) -> "MultiOutputModel":
+        """Model over the given tensors (not copied), in arch.param_shapes() order.
+
+        Raises ShapeError if their count or any shape does not fit arch.
+        """
+        slots = arch.param_shapes()
+        if len(arrays) != len(slots):
+            raise ShapeError(f"expected {len(slots)} parameter tensors, got {len(arrays)}")
+        for (name, shape), arr in zip(slots, arrays):
+            if arr.shape != shape:
+                raise ShapeError(f"{name}: shape {arr.shape} does not fit architecture "
+                                 f"slot of shape {shape}")
+        pairs = list(zip(arrays[0::2], arrays[1::2]))
+        convs = [ConvLayer(w, b, arch.conv_stride, arch.conv_padding) for w, b in pairs[:-3]]
+        dense, base_head, exp_head = (DenseLayer(w, b) for w, b in pairs[-3:])
         return cls(arch, convs, dense, base_head, exp_head)
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        params = []
-        for i, conv in enumerate(self.convs):
-            params.append((f"conv{i}.weights", conv.weights))
-            params.append((f"conv{i}.bias", conv.bias))
-        params.append(("dense.weights", self.dense.weights))
-        params.append(("dense.bias", self.dense.bias))
-        params.append(("base_head.weights", self.base_head.weights))
-        params.append(("base_head.bias", self.base_head.bias))
-        params.append(("exp_head.weights", self.exp_head.weights))
-        params.append(("exp_head.bias", self.exp_head.bias))
-        return params
+    @classmethod
+    def init(cls, arch: Architecture, seed: int) -> "MultiOutputModel":
+        """Fan-in-scaled uniform weights, zero biases, one substream per layer."""
+        rng = Rng(seed)
+        shapes = [shape for _, shape in arch.param_shapes()]
+        arrays = []
+        for layer, (w_shape, b_shape) in enumerate(zip(shapes[0::2], shapes[1::2])):
+            fan_in = int(np.prod(w_shape[1:]))
+            bound = np.sqrt(6.0 / fan_in)
+            w = rng.substream(layer).uniforms(int(np.prod(w_shape)), -bound, bound)
+            arrays += [w.reshape(w_shape).astype(DTYPE), np.zeros(b_shape, dtype=DTYPE)]
+        return cls.from_arrays(arch, arrays)
 
     def param_arrays(self) -> list[np.ndarray]:
-        return [a for _, a in self.parameters()]
+        arrays = []
+        for layer in (*self.convs, self.dense, self.base_head, self.exp_head):
+            arrays += [layer.weights, layer.bias]
+        return arrays
 
-    def set_param_arrays(self, arrays: list[np.ndarray]) -> None:
-        own = self.parameters()
-        if len(arrays) != len(own):
-            raise ShapeError(f"expected {len(own)} parameter tensors, got {len(arrays)}")
-        for (name, current), new in zip(own, arrays):
-            if current.shape != new.shape:
-                raise ShapeError(f"{name}: shape {new.shape} != {current.shape}")
-        for i, conv in enumerate(self.convs):
-            conv.weights, conv.bias = arrays[2 * i], arrays[2 * i + 1]
-        n = 2 * len(self.convs)
-        self.dense.weights, self.dense.bias = arrays[n], arrays[n + 1]
-        self.base_head.weights, self.base_head.bias = arrays[n + 2], arrays[n + 3]
-        self.exp_head.weights, self.exp_head.bias = arrays[n + 4], arrays[n + 5]
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        return [(name, arr) for (name, _), arr in zip(self.arch.param_shapes(),
+                                                      self.param_arrays())]
 
     def astype(self, dtype) -> "MultiOutputModel":
         """Copy of the model with all parameters cast to dtype."""
-        clone = MultiOutputModel(
-            self.arch,
-            [ConvLayer(c.weights.astype(dtype), c.bias.astype(dtype), c.stride, c.padding)
-             for c in self.convs],
-            DenseLayer(self.dense.weights.astype(dtype), self.dense.bias.astype(dtype)),
-            DenseLayer(self.base_head.weights.astype(dtype), self.base_head.bias.astype(dtype)),
-            DenseLayer(self.exp_head.weights.astype(dtype), self.exp_head.bias.astype(dtype)),
-        )
-        return clone
+        return MultiOutputModel.from_arrays(self.arch,
+                                            [a.astype(dtype) for a in self.param_arrays()])
 
     # --- passes ---
 
@@ -180,70 +196,51 @@ class MultiOutputModel:
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[1:] != (1, h, w):
             raise ShapeError(f"input: expected [B, 1, {h}, {w}], got {x.shape}")
-        trace = ForwardTrace(batch=x.shape[0]) if need_trace else None
+        conv_caches, relu_masks, pool_offsets = [], [], []
         for i, conv in enumerate(self.convs):
             try:
                 x, cache = conv_forward_batch(conv, x)
             except ShapeError as exc:
                 raise ShapeError(f"conv{i}: {exc}") from exc
             if need_trace:
-                trace.entries.append(("conv", i, cache))
-                trace.entries.append(("relu", None, x > 0))
+                conv_caches.append(cache)
+                relu_masks.append(x > 0)
             x = relu_forward(x)
-            pooled_from = x.shape
             x, offsets = _pool_offsets_batch(x, self.arch.pool_window, self.arch.pool_stride)
             if need_trace:
-                trace.entries.append(("pool", None, (offsets, pooled_from)))
-        feat_shape = x.shape
+                pool_offsets.append(offsets)
         x = x.reshape(x.shape[0], -1)
-        if need_trace:
-            trace.entries.append(("flatten", None, feat_shape))
         if x.shape[1] != self.dense.weights.shape[1]:
             raise ShapeError(
                 f"dense: flattened width {x.shape[1]} != expected {self.dense.weights.shape[1]}")
         pre = dense_forward_batch(self.dense, x)
         hidden = relu_forward(pre)
+        trace = None
         if need_trace:
-            trace.entries.append(("dense", None, x))
-            trace.entries.append(("relu", None, pre > 0))
-            trace.entries.append(("heads", None, hidden))
+            trace = ForwardTrace(x.shape[0], conv_caches, relu_masks, pool_offsets,
+                                 x, pre > 0, hidden)
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
         return base_logits, exp_logits, trace
 
     def backward_batch(self, trace: ForwardTrace, grad_base: np.ndarray,
                        grad_exp: np.ndarray) -> list[np.ndarray]:
-        """Gradients summed over the batch, aligned with parameters()."""
-        entries = list(trace.entries)
-        kind, _, hidden = entries.pop()
-        if kind != "heads":
-            raise ShapeError("trace does not match this model's forward pass")
-        gw_b, gb_b, gx_b = dense_backward_batch(self.base_head, grad_base, hidden)
-        gw_e, gb_e, gx_e = dense_backward_batch(self.exp_head, grad_exp, hidden)
-        upstream = gx_b + gx_e          # heads meet at the shared trunk
-
-        grads: dict[str, np.ndarray] = {
-            "base_head.weights": gw_b, "base_head.bias": gb_b,
-            "exp_head.weights": gw_e, "exp_head.bias": gb_e,
-        }
-        for kind, idx, cache in reversed(entries):
-            if kind == "relu":
-                upstream = upstream * cache       # cache is the sign mask
-            elif kind == "dense":
-                gw, gb, upstream = dense_backward_batch(self.dense, upstream, cache)
-                grads["dense.weights"] = gw
-                grads["dense.bias"] = gb
-            elif kind == "flatten":
-                upstream = upstream.reshape(cache)
-            elif kind == "pool":
-                offsets, in_shape = cache
-                upstream = _pool_backward_offsets_batch(
-                    upstream, offsets, in_shape, self.arch.pool_window, self.arch.pool_stride)
-            elif kind == "conv":
-                gw, gb, upstream = conv_backward_batch(self.convs[idx], upstream, cache)
-                grads[f"conv{idx}.weights"] = gw
-                grads[f"conv{idx}.bias"] = gb
-        return [grads[name] for name, _ in self.parameters()]
+        """Gradients summed over the batch, aligned with param_arrays()."""
+        gw_b, gb_b, gx_b = dense_backward_batch(self.base_head, grad_base, trace.hidden)
+        gw_e, gb_e, gx_e = dense_backward_batch(self.exp_head, grad_exp, trace.hidden)
+        upstream = (gx_b + gx_e) * trace.dense_mask     # heads meet at the shared trunk
+        gw_d, gb_d, upstream = dense_backward_batch(self.dense, upstream, trace.flat)
+        grads = [gw_d, gb_d, gw_b, gb_b, gw_e, gb_e]
+        upstream = upstream.reshape(-1, *self.arch.stage_shapes()[-1])
+        window, stride = self.arch.pool_window, self.arch.pool_stride
+        for conv, cache, mask, offsets in reversed(list(zip(
+                self.convs, trace.conv_caches, trace.relu_masks, trace.pool_offsets))):
+            upstream = _pool_backward_offsets_batch(upstream, offsets, mask.shape,
+                                                    window, stride)
+            upstream = upstream * mask
+            gw, gb, upstream = conv_backward_batch(conv, upstream, cache)
+            grads[:0] = [gw, gb]
+        return grads
 
 
 def model_forward(model: MultiOutputModel, image: np.ndarray):

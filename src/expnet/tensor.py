@@ -1,9 +1,9 @@
-"""Dense float tensor helpers and the two convolution data paths.
+"""The two convolution data paths and the batched im2col/col2im lowering.
 
 Tensors are plain numpy ``ndarray``s: row-major, channels-first ``[C, H, W]``
-for images and feature maps, 32-bit floats for model data (the gradient-check
-harness re-runs everything in 64-bit, so all math here preserves the input
-dtype).  Every function allocates its output; inputs are never mutated.
+for images and feature maps (``[B, C, H, W]`` for a batch), 32-bit floats for
+model data (the gradient-check harness re-runs everything in 64-bit, so all
+math here preserves the input dtype).  Every function allocates its output; inputs are never mutated.
 
 Two independent convolution routes are kept side by side on purpose:
 ``conv2d_naive`` evaluates the convolution sum directly with explicit loops
@@ -13,37 +13,11 @@ an im2col matrix multiply.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ShapeError
 
 DTYPE = np.float32
-
-
-def tensor_new(shape: Sequence[int], fill: float = 0.0, dtype=DTYPE) -> np.ndarray:
-    """Freshly allocated tensor of the given shape, every element = fill."""
-    shape = tuple(int(d) for d in shape)
-    for d in shape:
-        if d < 1:
-            raise ShapeError(f"dimensions must be >= 1, got shape {shape}")
-    return np.full(shape, fill, dtype=dtype)
-
-
-def assert_all_finite(x: np.ndarray, name: str = "tensor") -> None:
-    """Debug scan: raise if any element is NaN or infinite."""
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"{name} contains non-finite values")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank-2 matrix product c[i, j] = sum_p a[i, p] * b[p, j]."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got ranks {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -128,21 +102,6 @@ def col2im_batch(cols: np.ndarray, x_shape: tuple[int, int, int, int],
     if padding:
         return gxpad[:, :, padding:h + padding, padding:w + padding]
     return gxpad
-
-
-def im2col(input: np.ndarray, m: int, n: int, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Single-image im2col: [C, H, W] -> [C*M*N, H_out*W_out]."""
-    if input.ndim != 3:
-        raise ShapeError(f"im2col input must be [C, H, W], got rank {input.ndim}")
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
-    _, h, w = input.shape
-    if h + 2 * padding < m or w + 2 * padding < n:
-        raise ShapeError(
-            f"window {m}x{n} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    return im2col_batch(input[None], m, n, stride, padding)
 
 
 def conv2d_fast(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Sample
+# EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
+from .evaluate import EVAL_CHUNK, loss_and_predictions, stack_dataset  # noqa: F401
 from .losses import softmax_ce_batch
 from .model import DEFAULT_ARCH, Architecture, MultiOutputModel
 from .optim import AdamState, adam_step
 from .rng import Rng
-
-EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,6 @@ class TrainResult:
     stopped_early: bool
 
 
-def stack_dataset(samples: list[Sample]):
-    """(images [N, 1, H, W] float32, base labels [N], exp labels [N])."""
-    if not samples:
-        raise ValueError("dataset is empty")
-    images = np.stack([s.image for s in samples]).astype(np.float32)
-    base = np.array([s.base_label for s in samples], dtype=np.int64)
-    exp = np.array([s.exp_label for s in samples], dtype=np.int64)
-    return images, base, exp
-
-
 def _clone_model(model: MultiOutputModel) -> MultiOutputModel:
     return model.astype(model.param_arrays()[0].dtype)
 
@@ -99,18 +89,9 @@ def validation_metrics(model: MultiOutputModel, images: np.ndarray,
                        base_labels: np.ndarray, exp_labels: np.ndarray):
     """(mean total loss, base accuracy, exp accuracy) over a fixed set."""
     n = images.shape[0]
-    loss_sum = 0.0
-    base_hits = 0
-    exp_hits = 0
-    for lo in range(0, n, EVAL_CHUNK):
-        hi = min(lo + EVAL_CHUNK, n)
-        base_logits, exp_logits, _ = model.forward_batch(images[lo:hi], need_trace=False)
-        base_losses, _ = softmax_ce_batch(base_logits, base_labels[lo:hi])
-        exp_losses, _ = softmax_ce_batch(exp_logits, exp_labels[lo:hi])
-        loss_sum += float(base_losses.sum() + exp_losses.sum())
-        base_hits += int((base_logits.argmax(axis=1) == base_labels[lo:hi]).sum())
-        exp_hits += int((exp_logits.argmax(axis=1) == exp_labels[lo:hi]).sum())
-    return loss_sum / n, base_hits / n, exp_hits / n
+    loss_sum, base_pred, exp_pred = loss_and_predictions(model, images, base_labels, exp_labels)
+    return (loss_sum / n, int((base_pred == base_labels).sum()) / n,
+            int((exp_pred == exp_labels).sum()) / n)
 
 
 def train(dataset: list[Sample], config: TrainConfig,

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from expnet.errors import ShapeError
-from expnet.layers import (ConvLayer, DenseLayer, conv2d_backward, conv_backward_batch,
-                           conv_forward_batch, dense_backward, dense_forward,
-                           maxpool_backward, maxpool_forward, relu_backward, relu_forward)
+from expnet.layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
+                           _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
+                           dense_backward_batch, dense_forward_batch, relu_forward)
+from expnet.model import TINY_ARCH, MultiOutputModel
 from expnet.rng import Rng
 from expnet.tensor import conv2d_fast
 
@@ -36,126 +37,126 @@ def test_relu_forward_signs():
 
 
 def test_relu_backward_mask():
-    up = np.ones(3, dtype=np.float32)
-    x = np.array([-1.0, 0.0, 2.0], dtype=np.float32)
-    assert np.array_equal(relu_backward(up, x), np.array([0, 0, 1], dtype=np.float32))
-    g = Rng(1).uniforms(5).astype(np.float32)
-    xp = np.abs(Rng(2).uniforms(5)).astype(np.float32) + 0.1
-    assert np.array_equal(relu_backward(g, xp), g)
-    with pytest.raises(ShapeError):
-        relu_backward(np.ones(3, dtype=np.float32), np.ones(4, dtype=np.float32))
+    # backward_batch multiplies by the recorded (pre-activation > 0) masks: a dead
+    # hidden layer passes no gradient into the trunk, only into the heads' biases
+    m = MultiOutputModel.init(TINY_ARCH, 3)
+    m.dense.bias[:] = -1e3
+    img = Rng(3).uniforms(16 * 16).reshape(1, 1, 16, 16).astype(np.float32)
+    _, _, trace = m.forward_batch(img)
+    assert trace.dense_mask.dtype == bool and not trace.dense_mask.any()
+    assert not trace.hidden.any()
+    for mask in trace.relu_masks:
+        assert mask.dtype == bool and mask.any() and not mask.all()
+    grads = m.backward_batch(trace, np.ones((1, 8), dtype=np.float32),
+                             np.ones((1, 10), dtype=np.float32))
+    for (name, _), g in zip(m.parameters(), grads):
+        assert g.any() == (name in ("base_head.bias", "exp_head.bias")), name
 
 
 def test_relu_backward_matches_finite_difference():
+    # the mask backward_batch applies is the derivative of relu_forward off the kink
     x = Rng(3).uniforms(20, -1, 1)
-    x = x[np.abs(x) > 1e-3]          # stay away from the kink
+    x = x[np.abs(x) > 1e-3]
     num = central_diff(lambda v: float(relu_forward(v).sum()), x)
-    ana = relu_backward(np.ones_like(x), x)
-    assert np.allclose(num, ana, rtol=1e-4)
+    assert np.array_equal(num != 0, x > 0)
+    assert np.allclose(num, x > 0, rtol=1e-4)
 
 
 def test_maxpool_single_window():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
-    out, arg = maxpool_forward(x, 2, 2)
-    assert out.shape == (1, 1, 1) and out[0, 0, 0] == 4.0
-    assert arg[0, 0, 0] == 3          # flat index of (1, 1) in a 2x2 plane
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
+    out, off = _pool_offsets_batch(x, 2, 2)
+    assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == 4.0
+    assert off.dtype == np.uint8 and off[0, 0, 0, 0] == 3    # cell (1, 1) of the window
 
 
 def test_maxpool_tie_break_first_cell():
-    x = np.full((2, 4, 4), 2.5, dtype=np.float32)
-    out, arg = maxpool_forward(x, 2, 2)
-    assert np.all(out == 2.5)
-    # every window's argmax is its top-left cell
-    expect = np.array([[0, 2], [8, 10]])
-    for c in range(2):
-        assert np.array_equal(arg[c], expect)
+    x = np.full((1, 2, 6, 6), 2.5, dtype=np.float32)
+    # window 2 stride 2 takes the max-tree path, the others the stacked argmax
+    for window, stride in ((2, 2), (2, 1), (3, 3)):
+        out, off = _pool_offsets_batch(x, window, stride)
+        assert np.all(out == 2.5)
+        assert not off.any()          # every window picks its top-left cell
 
 
 def test_maxpool_ramp():
-    x = (np.arange(16, dtype=np.float32) + 1).reshape(1, 4, 4)
-    out, _ = maxpool_forward(x, 2, 2)
-    assert np.array_equal(out[0], np.array([[6, 8], [14, 16]], dtype=np.float32))
+    x = (np.arange(16, dtype=np.float32) + 1).reshape(1, 1, 4, 4)
+    out, off = _pool_offsets_batch(x, 2, 2)
+    assert np.array_equal(out[0, 0], np.array([[6, 8], [14, 16]], dtype=np.float32))
+    assert np.all(off == 3)
+    out, off = _pool_offsets_batch(x, 3, 1)
+    assert np.array_equal(out[0, 0], np.array([[11, 12], [15, 16]], dtype=np.float32))
+    assert np.all(off == 8)
 
 
 def test_maxpool_window_too_large():
     with pytest.raises(ShapeError):
-        maxpool_forward(np.zeros((1, 2, 2), dtype=np.float32), 3, 1)
+        _pool_offsets_batch(np.zeros((1, 1, 2, 2), dtype=np.float32), 3, 1)
 
 
 def test_maxpool_backward_routing():
-    up = np.array([[[1.0]]], dtype=np.float32)
-    arg = np.array([[[3]]], dtype=np.int64)
-    grad = maxpool_backward(up, arg, (1, 2, 2), 2, 2)
-    assert np.array_equal(grad, np.array([[[0, 0], [0, 1]]], dtype=np.float32))
-    zero = maxpool_backward(np.zeros_like(up), arg, (1, 2, 2), 2, 2)
+    up = np.array([[[[1.0]]]], dtype=np.float32)
+    off = np.array([[[[3]]]], dtype=np.uint8)
+    grad = _pool_backward_offsets_batch(up, off, (1, 1, 2, 2), 2, 2)
+    assert np.array_equal(grad, np.array([[[[0, 0], [0, 1]]]], dtype=np.float32))
+    zero = _pool_backward_offsets_batch(np.zeros_like(up), off, (1, 1, 2, 2), 2, 2)
     assert not zero.any()
 
 
-def test_maxpool_backward_index_out_of_bounds():
-    up = np.array([[[1.0]]], dtype=np.float32)
-    bad = np.array([[[9]]], dtype=np.int64)
-    with pytest.raises(ShapeError):
-        maxpool_backward(up, bad, (1, 2, 2), 2, 2)
+def pool_fd_case(seed, shape, window, stride):
+    """(numeric, analytic) input gradients of sum(maxpool(x) * up)."""
+    rng = Rng(seed)
+    x = rng.uniforms(int(np.prod(shape)), -1, 1).reshape(1, *shape)
+    out, off = _pool_offsets_batch(x, window, stride)
+    up = rng.uniforms(out.size, -1, 1).reshape(out.shape)
+
+    def f(v):
+        return float((_pool_offsets_batch(v, window, stride)[0] * up).sum())
+
+    num = central_diff(f, x)
+    ana = _pool_backward_offsets_batch(up, off, x.shape, window, stride)
+    return num, ana
 
 
 def test_maxpool_backward_matches_finite_difference():
-    rng = Rng(8)
-    x = rng.uniforms(2 * 6 * 6, -1, 1).reshape(2, 6, 6)
-    up = rng.uniforms(2 * 3 * 3, -1, 1).reshape(2, 3, 3)
-
-    def f(v):
-        out, _ = maxpool_forward(v, 2, 2)
-        return float((out * up).sum())
-
-    num = central_diff(f, x)
-    _, arg = maxpool_forward(x, 2, 2)
-    ana = maxpool_backward(up.astype(np.float64), arg, (2, 6, 6), 2, 2)
+    num, ana = pool_fd_case(8, (2, 6, 6), 2, 2)
     assert np.allclose(num, ana, rtol=1e-4, atol=1e-9)
 
 
 def test_maxpool_overlapping_windows_backward():
     # stride < window: gradients from overlapping windows accumulate
-    rng = Rng(9)
-    x = rng.uniforms(1 * 5 * 5, -1, 1).reshape(1, 5, 5)
-    up = rng.uniforms(1 * 4 * 4, -1, 1).reshape(1, 4, 4)
-
-    def f(v):
-        out, _ = maxpool_forward(v, 2, 1)
-        return float((out * up).sum())
-
-    num = central_diff(f, x)
-    _, arg = maxpool_forward(x, 2, 1)
-    ana = maxpool_backward(up.astype(np.float64), arg, (1, 5, 5), 2, 1)
+    num, ana = pool_fd_case(9, (1, 5, 5), 2, 1)
     assert np.allclose(num, ana, rtol=1e-4, atol=1e-9)
 
 
 def test_dense_forward_cases():
     ident = DenseLayer(np.eye(3, dtype=np.float32), np.zeros(3, dtype=np.float32))
     x = np.array([1.0, -2.0, 3.0], dtype=np.float32)
-    assert np.array_equal(dense_forward(ident, x), x)
+    assert np.array_equal(dense_forward_batch(ident, x[None])[0], x)
 
     layer = DenseLayer(np.array([[1.0, 2.0]], dtype=np.float32),
                        np.array([3.0], dtype=np.float32))
-    out = dense_forward(layer, np.array([4.0, 5.0], dtype=np.float32))
-    assert out[0] == pytest.approx(17.0)    # 1*4 + 2*5 + 3
+    out = dense_forward_batch(layer, np.array([[4.0, 5.0]], dtype=np.float32))
+    assert out.shape == (1, 1) and out[0, 0] == pytest.approx(17.0)    # 1*4 + 2*5 + 3
 
     zero = DenseLayer(np.zeros((2, 3), dtype=np.float32),
                       np.array([7.0, -1.0], dtype=np.float32))
-    assert np.array_equal(dense_forward(zero, np.ones(3, dtype=np.float32)), zero.bias)
+    assert np.array_equal(dense_forward_batch(zero, np.ones((1, 3), dtype=np.float32))[0],
+                          zero.bias)
     with pytest.raises(ShapeError):
-        dense_forward(layer, np.ones(3, dtype=np.float32))
+        dense_forward_batch(layer, np.ones((1, 3), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        dense_forward_batch(layer, np.ones(2, dtype=np.float32))
 
 
 def test_dense_backward_formulas():
     layer = DenseLayer(np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.float32))
-    gw, gb, gx = dense_backward(layer, np.array([1.0], dtype=np.float32),
-                                np.array([2.0, 3.0], dtype=np.float32))
+    x = np.array([[2.0, 3.0]], dtype=np.float32)
+    gw, gb, gx = dense_backward_batch(layer, np.array([[1.0]], dtype=np.float32), x)
     assert np.array_equal(gw, np.array([[2.0, 3.0]], dtype=np.float32))
     assert np.array_equal(gb, np.array([1.0], dtype=np.float32))
-    assert np.array_equal(gx, np.array([0.0, 0.0], dtype=np.float32))
+    assert np.array_equal(gx, np.array([[0.0, 0.0]], dtype=np.float32))
 
-    gw, gb, gx = dense_backward(layer, np.zeros(1, dtype=np.float32),
-                                np.array([2.0, 3.0], dtype=np.float32))
+    gw, gb, gx = dense_backward_batch(layer, np.zeros((1, 1), dtype=np.float32), x)
     assert not gw.any() and not gb.any() and not gx.any()
 
 
@@ -163,13 +164,13 @@ def test_dense_backward_matches_finite_difference():
     rng = Rng(10)
     w = rng.uniforms(3 * 4, -1, 1).reshape(3, 4)
     b = rng.uniforms(3, -1, 1)
-    x = rng.uniforms(4, -1, 1)
-    up = rng.uniforms(3, -1, 1)
+    x = rng.uniforms(2 * 4, -1, 1).reshape(2, 4)
+    up = rng.uniforms(2 * 3, -1, 1).reshape(2, 3)
 
     def loss(wv, bv, xv):
-        return float((dense_forward(DenseLayer(wv, bv), xv) * up).sum())
+        return float((dense_forward_batch(DenseLayer(wv, bv), xv) * up).sum())
 
-    gw, gb, gx = dense_backward(DenseLayer(w, b), up, x)
+    gw, gb, gx = dense_backward_batch(DenseLayer(w, b), up, x)
     num_w = central_diff(lambda v: loss(v, b, x), w)
     num_b = central_diff(lambda v: loss(w, v, x), b)
     num_x = central_diff(lambda v: loss(w, b, v), x)
@@ -178,46 +179,44 @@ def test_dense_backward_matches_finite_difference():
     assert np.allclose(gx, num_x, rtol=1e-4, atol=1e-9)
 
 
+def conv_grads(layer, x, up):
+    """conv_backward_batch on the cache of conv_forward_batch(layer, x)."""
+    _, cache = conv_forward_batch(layer, x)
+    return conv_backward_batch(layer, up, cache)
+
+
 def test_conv_backward_identity_kernel_adjoint():
     rng = Rng(11)
-    x = rng.uniforms(1 * 3 * 3, -1, 1).reshape(1, 3, 3).astype(np.float32)
+    x = rng.uniforms(1 * 3 * 3, -1, 1).reshape(1, 1, 3, 3).astype(np.float32)
     layer = ConvLayer(np.full((1, 1, 1, 1), 0.7, dtype=np.float32),
                       np.zeros(1, dtype=np.float32))
-    up = np.ones((1, 3, 3), dtype=np.float32)
-    gw, gb, gx = conv2d_backward(layer, up, x)
+    up = np.ones((1, 1, 3, 3), dtype=np.float32)
+    gw, gb, gx = conv_grads(layer, x, up)
     assert gw[0, 0, 0, 0] == pytest.approx(float(x.sum()), rel=1e-6)
     assert gb[0] == pytest.approx(9.0)
     assert np.allclose(gx, 0.7)
 
-    gw, gb, gx = conv2d_backward(layer, np.zeros_like(up), x)
+    gw, gb, gx = conv_grads(layer, x, np.zeros_like(up))
     assert not gw.any() and not gb.any() and not gx.any()
 
 
 def test_conv_backward_matches_finite_difference():
     rng = Rng(12)
-    x = rng.uniforms(2 * 6 * 6, -1, 1).reshape(2, 6, 6)
+    x = rng.uniforms(2 * 6 * 6, -1, 1).reshape(1, 2, 6, 6)
     w = rng.uniforms(3 * 2 * 3 * 3, -1, 1).reshape(3, 2, 3, 3)
     b = rng.uniforms(3, -1, 1)
     up = rng.uniforms(3 * 6 * 6, -1, 1).reshape(3, 6, 6)
 
     def loss(wv, bv, xv):
-        return float((conv2d_fast(xv, wv, bv, 1, 1) * up).sum())
+        return float((conv2d_fast(xv[0], wv, bv, 1, 1) * up).sum())
 
-    gw, gb, gx = conv2d_backward(ConvLayer(w, b, 1, 1), up, x)
+    gw, gb, gx = conv_grads(ConvLayer(w, b, 1, 1), x, up[None])
     num_w = central_diff(lambda v: loss(v, b, x), w)
     num_b = central_diff(lambda v: loss(w, v, x), b)
     num_x = central_diff(lambda v: loss(w, b, v), x)
     assert np.allclose(gw, num_w, rtol=1e-4, atol=1e-8)
     assert np.allclose(gb, num_b, rtol=1e-4, atol=1e-8)
     assert np.allclose(gx, num_x, rtol=1e-4, atol=1e-8)
-
-
-def test_conv_backward_shape_mismatch():
-    layer = ConvLayer(np.zeros((2, 1, 3, 3), dtype=np.float32),
-                      np.zeros(2, dtype=np.float32), 1, 1)
-    x = np.zeros((1, 6, 6), dtype=np.float32)
-    with pytest.raises(ShapeError):
-        conv2d_backward(layer, np.zeros((2, 4, 4), dtype=np.float32), x)
 
 
 def test_batched_conv_matches_per_sample():
@@ -235,9 +234,9 @@ def test_batched_conv_matches_per_sample():
     gw_sum = np.zeros_like(gw)
     gb_sum = np.zeros_like(gb)
     for i in range(4):
-        gwi, gbi, gxi = conv2d_backward(layer, up[i], xs[i])
+        gwi, gbi, gxi = conv_grads(layer, xs[i][None], up[i][None])
         gw_sum += gwi
         gb_sum += gbi
-        assert np.allclose(gx[i], gxi, atol=1e-5)
+        assert np.allclose(gx[i], gxi[0], atol=1e-5)
     assert np.allclose(gw, gw_sum, atol=1e-4)
     assert np.allclose(gb, gb_sum, atol=1e-5)

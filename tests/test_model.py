@@ -37,6 +37,12 @@ def test_forward_logit_shapes_and_trace():
     base, exp, trace = model_forward(m, img)
     assert base.shape == (8,) and exp.shape == (10,)
     assert trace.batch == 1
+    assert len(trace.conv_caches) == len(trace.relu_masks) == len(trace.pool_offsets) == 2
+    assert trace.relu_masks[0].shape == (1, 32, 64, 64)
+    assert trace.pool_offsets[1].shape == (1, 64, 16, 16)
+    assert trace.pool_offsets[1].dtype == np.uint8
+    assert trace.flat.shape == (1, 16384) and trace.hidden.shape == (1, 128)
+    assert m.forward_batch(img[None], need_trace=False)[2] is None
 
 
 def test_zero_image_zero_heads_give_zero_logits():
@@ -130,8 +136,13 @@ def test_parameters_order_and_set():
     assert names == ["conv0.weights", "conv0.bias", "conv1.weights", "conv1.bias",
                      "dense.weights", "dense.bias", "base_head.weights",
                      "base_head.bias", "exp_head.weights", "exp_head.bias"]
+    assert [(name, a.shape) for name, a in m.parameters()] == TINY_ARCH.param_shapes()
     arrays = [a + 1 for a in m.param_arrays()]
-    m.set_param_arrays(arrays)
-    assert all(np.array_equal(a, b) for a, b in zip(m.param_arrays(), arrays))
-    with pytest.raises(ShapeError):
-        m.set_param_arrays(arrays[:-1])
+    built = MultiOutputModel.from_arrays(TINY_ARCH, arrays)
+    assert all(a is b for a, b in zip(built.param_arrays(), arrays))
+    assert built.convs[1].stride == TINY_ARCH.conv_stride
+    assert built.convs[1].padding == TINY_ARCH.conv_padding
+    with pytest.raises(ShapeError, match="expected 10"):
+        MultiOutputModel.from_arrays(TINY_ARCH, arrays[:-1])
+    with pytest.raises(ShapeError, match="dense.weights"):
+        MultiOutputModel.from_arrays(TINY_ARCH, arrays[:4] + [arrays[4].T] + arrays[5:])

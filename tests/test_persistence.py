@@ -6,7 +6,7 @@ import pytest
 from expnet.checkpoint import read_checkpoint, write_checkpoint
 from expnet.dataio import read_dataset, write_dataset
 from expnet.datagen import GenConfig, generate_dataset
-from expnet.errors import (ArchitectureMismatchError, BadMagicError,
+from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
 from expnet.model import DEFAULT_ARCH, TINY_ARCH, Architecture, MultiOutputModel
 from expnet.optim import AdamState
@@ -73,6 +73,30 @@ def test_dataset_truncation_detected(tmp_path):
         read_dataset(str(path))
 
 
+def test_dataset_trailing_bytes_rejected(tmp_path):
+    ds = generate_dataset(GenConfig(count=3, master_seed=3))
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0" * 7)
+    with pytest.raises(FileFormatError, match=f"d.bin: 7 trailing bytes at offset {size}"):
+        read_dataset(str(path))
+
+
+def test_dataset_label_out_of_range_rejected(tmp_path):
+    ds = generate_dataset(GenConfig(count=3, master_seed=4))
+    path = str(tmp_path / "d.bin")
+    ds[1].base_label = 200
+    write_dataset(ds, path)
+    with pytest.raises(FileFormatError, match="sample 1"):
+        read_dataset(path)
+    ds[1].base_label = 7              # the last of base digits 2..9
+    ds[2].exp_label = 10              # one past exponent digits 0..9
+    write_dataset(ds, path)
+    with pytest.raises(FileFormatError, match="sample 2"):
+        read_dataset(path)
+
+
 def test_checkpoint_round_trip_bitwise(tmp_path):
     model = MultiOutputModel.init(DEFAULT_ARCH, 77)
     path = str(tmp_path / "m.ckpt")
@@ -118,6 +142,45 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     whole = path.read_bytes()
     path.write_bytes(whole[:100])
     with pytest.raises(TruncatedFileError):
+        read_checkpoint(str(path))
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(MultiOutputModel.init(TINY_ARCH, 2), str(path))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(FileFormatError, match=f"m.ckpt: 4 trailing bytes at offset {size}"):
+        read_checkpoint(str(path))
+
+
+def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
+    model = MultiOutputModel.init(TINY_ARCH, 6)
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(model, str(path))
+    blob = path.read_bytes()
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("read_checkpoint must not initialise a model")
+
+    monkeypatch.setattr(MultiOutputModel, "init", no_init)
+    back, _ = read_checkpoint(str(path))
+    for a, b in zip(model.param_arrays(), back.param_arrays()):
+        assert np.array_equal(a, b)
+
+    count_at = 12 + struct.unpack_from("<I", blob, 8)[0]      # after the descriptor
+    assert struct.unpack_from("<I", blob, count_at)[0] == 10
+    fewer = bytearray(blob)
+    struct.pack_into("<I", fewer, count_at, 9)
+    path.write_bytes(bytes(fewer))
+    with pytest.raises(ArchitectureMismatchError, match="9 parameter tensors"):
+        read_checkpoint(str(path))
+    # conv0.weights stored as [1, 4, 3, 3] instead of [4, 1, 3, 3]: same size, wrong shape
+    swapped = bytearray(blob)
+    assert struct.unpack_from("<5I", swapped, count_at + 4) == (4, 4, 1, 3, 3)
+    struct.pack_into("<2I", swapped, count_at + 8, 1, 4)
+    path.write_bytes(bytes(swapped))
+    with pytest.raises(ArchitectureMismatchError, match="conv0.weights"):
         read_checkpoint(str(path))
 
 

@@ -3,58 +3,7 @@ import pytest
 
 from expnet.errors import ShapeError
 from expnet.rng import Rng
-from expnet.tensor import (assert_all_finite, conv2d_fast, conv2d_naive, im2col,
-                           matmul, tensor_new)
-
-
-def test_tensor_new_fill():
-    t = tensor_new([2, 2], 0.0)
-    assert t.shape == (2, 2) and not t.any()
-    t = tensor_new([3], 1.5)
-    assert np.array_equal(t, np.array([1.5, 1.5, 1.5], dtype=np.float32))
-    assert t.dtype == np.float32
-
-
-def test_tensor_new_rejects_degenerate_dims():
-    with pytest.raises(ShapeError):
-        tensor_new([2, 0], 1.0)
-    with pytest.raises(ShapeError):
-        tensor_new([-1], 0.0)
-
-
-def test_tensor_size_matches_shape():
-    for shape in ([4], [2, 3], [2, 3, 4]):
-        t = tensor_new(shape, 7.0)
-        assert t.size == np.prod(shape)
-        assert_all_finite(t)
-
-
-def test_assert_all_finite_catches_nan():
-    t = tensor_new([3], 1.0)
-    t[1] = np.nan
-    with pytest.raises(FloatingPointError):
-        assert_all_finite(t)
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-    eye = np.eye(2, dtype=np.float32)
-    assert np.array_equal(matmul(eye, a), a)
-    assert np.array_equal(matmul(a, eye), a)
-
-
-def test_matmul_dot_product():
-    # [[1,2]] . [[3],[4]] = 1*3 + 2*4 = 11
-    a = np.array([[1.0, 2.0]], dtype=np.float32)
-    b = np.array([[3.0], [4.0]], dtype=np.float32)
-    assert np.array_equal(matmul(a, b), np.array([[11.0]], dtype=np.float32))
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3), dtype=np.float32), np.zeros((4, 5), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3, dtype=np.float32), np.zeros((3, 1), dtype=np.float32))
+from expnet.tensor import conv2d_fast, conv2d_naive, im2col_batch
 
 
 def test_conv2d_identity_kernel():
@@ -96,23 +45,24 @@ def test_conv2d_kernel_too_large():
 
 
 def test_im2col_full_window_single_column():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
-    cols = im2col(x, 2, 2, 1, 0)
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
+    cols = im2col_batch(x, 2, 2, 1, 0)
     assert cols.shape == (4, 1)
     assert np.array_equal(cols[:, 0], np.array([1, 2, 3, 4], dtype=np.float32))
 
 
 def test_im2col_1x1_window_is_flatten():
     rng = Rng(4)
-    x = rng.uniforms(3 * 4 * 5).reshape(3, 4, 5).astype(np.float32)
-    cols = im2col(x, 1, 1, 1, 0)
-    assert cols.shape == (3, 20)
-    assert np.array_equal(cols, x.reshape(3, 20))
+    x = rng.uniforms(2 * 3 * 4 * 5).reshape(2, 3, 4, 5).astype(np.float32)
+    cols = im2col_batch(x, 1, 1, 1, 0)
+    assert cols.shape == (3, 40)
+    # columns are batch-major: sample 0's 20 positions, then sample 1's
+    assert np.array_equal(cols, x.transpose(1, 0, 2, 3).reshape(3, 40))
 
 
 def test_im2col_padding_corner_zeros():
-    x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
-    cols = im2col(x, 2, 2, 1, 1)
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
+    cols = im2col_batch(x, 2, 2, 1, 1)
     assert cols.shape == (4, 9)
     corner = cols[:, 0]   # receptive field of output (0, 0) over the padded image
     assert np.count_nonzero(corner == 0) == 3
@@ -150,4 +100,4 @@ def test_conv_fast_matches_naive_random_shapes():
         naive = conv2d_naive(x, wt, b, stride, pad)
         assert fast.shape == naive.shape
         assert np.max(np.abs(fast - naive)) < 1e-5
-        assert_all_finite(fast)
+        assert np.all(np.isfinite(fast))
