@@ -95,6 +95,12 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
         t = reader.u64()
         m = [_read_tensor(reader) for _ in range(n_tensors)]
         v = [_read_tensor(reader) for _ in range(n_tensors)]
+        for moment, tensors in (("m", m), ("v", v)):
+            for (name, shape), tensor in zip(arch.param_shapes(), tensors):
+                if tensor.shape != shape:
+                    raise ArchitectureMismatchError(
+                        f"{path}: Adam {moment} tensor of {name} has shape {tensor.shape}, "
+                        f"the parameter has shape {shape}")
         adam = AdamState(m=m, v=v, t=t, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
     reader.expect_end()
     return model, adam

@@ -78,9 +78,15 @@ def write_dataset(samples: list[Sample], path: str,
              struct.pack("<IIII", VERSION, len(samples), h, w),
              struct.pack("<BBBB", base_range[0], base_range[1],
                          exp_range[0], exp_range[1])]
-    for s in samples:
+    n_base = base_range[1] - base_range[0] + 1
+    n_exp = exp_range[1] - exp_range[0] + 1
+    for i, s in enumerate(samples):
         if s.image.shape != (1, h, w):
             raise ValueError(f"sample image shape {s.image.shape} != (1, {h}, {w})")
+        if not (0 <= s.base_label < n_base and 0 <= s.exp_label < n_exp):
+            raise ValueError(
+                f"sample {i} labels ({s.base_label}, {s.exp_label}) outside the "
+                f"{n_base} base / {n_exp} exp classes of base {base_range} / exp {exp_range}")
         pixels = np.round(s.image[0] * 255.0).astype(np.uint8)
         parts.append(pixels.tobytes())
         parts.append(struct.pack("<BB", s.base_label, s.exp_label))

@@ -55,7 +55,10 @@ def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
                       base_label: int, exp_label: int) -> tuple[float, bytes]:
     base_logits, exp_logits, trace = model_forward(model, image)
     loss = combined_loss(base_logits, exp_logits, base_label, exp_label).total
-    pattern = (*trace.relu_masks, *trace.pool_offsets, trace.dense_mask)
+    # a dead window's offset is not a kink: its output is 0 whichever cell wins
+    live_offsets = [np.where(mask, off, 0) for mask, off in zip(trace.relu_masks,
+                                                                trace.pool_offsets)]
+    pattern = (*trace.relu_masks, *live_offsets, trace.dense_mask)
     return loss, b"".join(a.tobytes() for a in pattern)
 
 

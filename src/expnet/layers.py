@@ -1,7 +1,8 @@
 """Forward and backward passes for the individual network layers.
 
-Every op takes a batch: [B, C, H, W] feature maps, [B, F] dense activations; a
-single sample is a batch of one (``x[None]``).  Parameters live in small layer
+Every op takes a batch: channel-major [C, B, H, W] feature maps, [B, F] dense
+activations; a single sample is a batch of one (``x[:, None]`` for a feature
+map, ``x[None]`` for a dense vector).  Parameters live in small layer
 classes; the math functions are pure and dtype-preserving so the 64-bit
 gradient checker can reuse them.
 """
@@ -46,48 +47,60 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 # --- Max pooling ---
 
-def _pool_offsets_batch(x: np.ndarray, window: int, stride: int):
+def _pool_offsets_batch(x: np.ndarray, window: int, stride: int, need_offsets: bool = True):
     """(pooled values, window-relative offsets uint8) with row-major tie-break.
 
-    Offset m * window + n names the cell at row m, column n of each window.
+    Pools the last two axes of x (a channel-major [C, B, H, W] batch).  Offset
+    m * window + n names the cell at row m, column n of each window;
+    need_offsets=False returns None for them and skips their work.
     """
-    b, c, h, w = x.shape
+    h, w = x.shape[-2:]
     if window > h or window > w:
         raise ShapeError(f"pool window {window} larger than input {h}x{w}")
     h_out = (h - window) // stride + 1
     w_out = (w - window) // stride + 1
     if window == 2 and stride == 2 and h % 2 == 0 and w % 2 == 0:
         # elementwise max tree; strict > keeps the earliest cell on ties
-        a = x[:, :, 0::2, 0::2]
-        bb = x[:, :, 0::2, 1::2]
-        cc = x[:, :, 1::2, 0::2]
-        d = x[:, :, 1::2, 1::2]
+        a = x[..., 0::2, 0::2]
+        bb = x[..., 0::2, 1::2]
+        cc = x[..., 1::2, 0::2]
+        d = x[..., 1::2, 1::2]
         m_ab = np.maximum(a, bb)
         m_cd = np.maximum(cc, d)
         out = np.maximum(m_ab, m_cd)
+        if not need_offsets:
+            return out, None
         off = np.where(m_cd > m_ab,
                        np.uint8(2) + (d > cc).astype(np.uint8),
                        (bb > a).astype(np.uint8))
         return out, off
-    stack = np.empty((b, c, h_out, w_out, window * window), dtype=x.dtype)
+    stack = np.empty((*x.shape[:-2], h_out, w_out, window * window), dtype=x.dtype)
     for m in range(window):
         for n in range(window):
-            stack[..., m * window + n] = x[:, :, m:m + (h_out - 1) * stride + 1:stride,
+            stack[..., m * window + n] = x[..., m:m + (h_out - 1) * stride + 1:stride,
                                            n:n + (w_out - 1) * stride + 1:stride]
     offset = stack.argmax(axis=-1)          # first occurrence wins ties
     out = np.take_along_axis(stack, offset[..., None], axis=-1)[..., 0]
-    return out, offset.astype(np.uint8)
+    return out, offset.astype(np.uint8) if need_offsets else None
 
 
 def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
                                  x_shape: tuple, window: int, stride: int) -> np.ndarray:
     """Route each upstream value to its window's recorded offset; zeros elsewhere."""
+    h_out, w_out = upstream.shape[-2:]
+    if window == stride and x_shape[-2:] == (h_out * window, w_out * window):
+        # windows tile the input exactly: each cell is written once, no zero fill
+        grad = np.empty(x_shape, dtype=upstream.dtype)
+        for m in range(window):
+            for n in range(window):
+                np.multiply(upstream, offsets == m * window + n,
+                            out=grad[..., m::window, n::window])
+        return grad
     grad = np.zeros(x_shape, dtype=upstream.dtype)
-    h_out, w_out = upstream.shape[2:]
     for m in range(window):
         for n in range(window):
             mask = offsets == m * window + n
-            grad[:, :, m:m + (h_out - 1) * stride + 1:stride,
+            grad[..., m:m + (h_out - 1) * stride + 1:stride,
                  n:n + (w_out - 1) * stride + 1:stride] += upstream * mask
     return grad
 
@@ -111,25 +124,29 @@ def dense_backward_batch(layer: DenseLayer, upstream: np.ndarray, cached_x: np.n
 # --- Convolution (forward via im2col + GEMM; see tensor.py for the oracle) ---
 
 def conv_forward_batch(layer: ConvLayer, x: np.ndarray):
-    """Returns ([B, K, H', W'], cache) where cache carries the im2col matrix."""
-    h_out, w_out = _check_conv_args(x[0], layer.weights, layer.bias,
+    """[C, B, H, W] -> ([K, B, H', W'], cache) where cache carries the im2col matrix."""
+    h_out, w_out = _check_conv_args(x[:, 0], layer.weights, layer.bias,
                                     layer.stride, layer.padding)
-    b = x.shape[0]
+    b = x.shape[1]
     k, _, m, n = layer.weights.shape
     cols = im2col_batch(x, m, n, layer.stride, layer.padding)
     out = layer.weights.reshape(k, -1) @ cols + layer.bias[:, None]
-    out = out.reshape(k, b, h_out, w_out).transpose(1, 0, 2, 3)
-    return out, (cols, x.shape)
+    return out.reshape(k, b, h_out, w_out), (cols, x.shape)
 
 
-def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache):
-    """Returns (grad_weights, grad_bias, grad_x) summed over the batch."""
+def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache,
+                        need_input_grad: bool = True):
+    """Returns (grad_weights, grad_bias, grad_x) summed over the batch.
+
+    upstream is [K, B, H', W']; grad_x is [C, B, H, W], or None when
+    need_input_grad is False (the first layer, whose input is the image).
+    """
     cols, x_shape = cache
-    k, _, m, n = layer.weights.shape
-    u2 = upstream.transpose(1, 0, 2, 3).reshape(k, -1)
+    k = layer.weights.shape[0]
+    u2 = upstream.reshape(k, -1)
     grad_w = (u2 @ cols.T).reshape(layer.weights.shape)
     grad_b = u2.sum(axis=1)
-    grad_cols = layer.weights.reshape(k, -1).T @ u2
-    grad_x = col2im_batch(grad_cols, x_shape, m, n, layer.stride, layer.padding)
+    grad_x = None
+    if need_input_grad:
+        grad_x = col2im_batch(layer.weights, u2, x_shape, layer.stride, layer.padding)
     return grad_w, grad_b, grad_x
-

@@ -1,6 +1,6 @@
 """Shared-trunk, two-head CNN: architecture description and full passes.
 
-The trunk is conv -> ReLU -> maxpool repeated per conv stage, then flatten and
+The trunk is conv -> maxpool -> ReLU repeated per conv stage, then flatten and
 one hidden dense + ReLU; two parallel dense heads score the base digit (8-way)
 and the exponent digit (10-way).  Forward passes record a ForwardTrace holding
 exactly the per-layer caches the backward pass needs, so parameters stay
@@ -117,12 +117,14 @@ TINY_ARCH = Architecture(input_hw=(16, 16), conv_channels=(4, 8), dense_width=16
 class ForwardTrace:
     """Caches recorded by a forward pass, consumed by backward.
 
-    The three lists hold one entry per conv stage, in forward order.
+    The four lists hold one entry per conv stage, in forward order; trunk
+    arrays are channel-major [C, B, H, W].
     """
 
     batch: int
     conv_caches: list          # conv_forward_batch caches
-    relu_masks: list           # conv output > 0
+    conv_shapes: list          # conv output shapes, the pool backward's target
+    relu_masks: list           # pooled conv output > 0 (ReLU runs after the pool)
     pool_offsets: list         # uint8 window offsets
     flat: np.ndarray           # flattened features, the dense input
     dense_mask: np.ndarray     # dense pre-activation > 0
@@ -191,25 +193,32 @@ class MultiOutputModel:
     def forward_batch(self, x: np.ndarray, need_trace: bool = True):
         """[B, 1, H, W] -> (base logits [B, n_base], exp logits [B, n_exp], trace).
 
-        need_trace=False skips the backward caches (inference / evaluation).
+        The trunk runs channel-major, [C, B, H, W], and applies each ReLU after
+        its max pool: max is monotone, so relu(maxpool(x)) == maxpool(relu(x))
+        exactly, at a quarter of the elements.  need_trace=False skips the
+        backward caches and the pool offsets (inference / evaluation).
         """
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[1:] != (1, h, w):
             raise ShapeError(f"input: expected [B, 1, {h}, {w}], got {x.shape}")
-        conv_caches, relu_masks, pool_offsets = [], [], []
+        batch = x.shape[0]
+        x = x.transpose(1, 0, 2, 3)
+        conv_caches, conv_shapes, relu_masks, pool_offsets = [], [], [], []
         for i, conv in enumerate(self.convs):
             try:
                 x, cache = conv_forward_batch(conv, x)
             except ShapeError as exc:
                 raise ShapeError(f"conv{i}: {exc}") from exc
+            conv_shape = x.shape
+            x, offsets = _pool_offsets_batch(x, self.arch.pool_window, self.arch.pool_stride,
+                                             need_offsets=need_trace)
+            x = relu_forward(x)
             if need_trace:
                 conv_caches.append(cache)
+                conv_shapes.append(conv_shape)
                 relu_masks.append(x > 0)
-            x = relu_forward(x)
-            x, offsets = _pool_offsets_batch(x, self.arch.pool_window, self.arch.pool_stride)
-            if need_trace:
                 pool_offsets.append(offsets)
-        x = x.reshape(x.shape[0], -1)
+        x = x.transpose(1, 0, 2, 3).reshape(batch, -1)
         if x.shape[1] != self.dense.weights.shape[1]:
             raise ShapeError(
                 f"dense: flattened width {x.shape[1]} != expected {self.dense.weights.shape[1]}")
@@ -217,7 +226,7 @@ class MultiOutputModel:
         hidden = relu_forward(pre)
         trace = None
         if need_trace:
-            trace = ForwardTrace(x.shape[0], conv_caches, relu_masks, pool_offsets,
+            trace = ForwardTrace(batch, conv_caches, conv_shapes, relu_masks, pool_offsets,
                                  x, pre > 0, hidden)
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
@@ -231,14 +240,16 @@ class MultiOutputModel:
         upstream = (gx_b + gx_e) * trace.dense_mask     # heads meet at the shared trunk
         gw_d, gb_d, upstream = dense_backward_batch(self.dense, upstream, trace.flat)
         grads = [gw_d, gb_d, gw_b, gb_b, gw_e, gb_e]
-        upstream = upstream.reshape(-1, *self.arch.stage_shapes()[-1])
+        upstream = upstream.reshape(trace.batch, *self.arch.stage_shapes()[-1])
+        upstream = upstream.transpose(1, 0, 2, 3)
         window, stride = self.arch.pool_window, self.arch.pool_stride
-        for conv, cache, mask, offsets in reversed(list(zip(
-                self.convs, trace.conv_caches, trace.relu_masks, trace.pool_offsets))):
-            upstream = _pool_backward_offsets_batch(upstream, offsets, mask.shape,
-                                                    window, stride)
-            upstream = upstream * mask
-            gw, gb, upstream = conv_backward_batch(conv, upstream, cache)
+        for i in reversed(range(len(self.convs))):
+            upstream = _pool_backward_offsets_batch(
+                upstream * trace.relu_masks[i], trace.pool_offsets[i],
+                trace.conv_shapes[i], window, stride)
+            gw, gb, upstream = conv_backward_batch(self.convs[i], upstream,
+                                                   trace.conv_caches[i],
+                                                   need_input_grad=i > 0)
             grads[:0] = [gw, gb]
         return grads
 

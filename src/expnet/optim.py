@@ -29,32 +29,50 @@ class AdamState:
                    t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
+# Elements per Adam block: the block's slices of p, g, m, v and the update's
+# temporaries (about 2 MB of float32) stay in cache between its passes.
+BLOCK = 1 << 16
+
+
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: AdamState) -> tuple[list[np.ndarray], AdamState]:
     """One Adam update, in place on params and state.
 
     t += 1; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g^2;
     p -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)
+
+    Each tensor is updated BLOCK elements at a time with the same operations
+    in the same order per element, so the result does not depend on BLOCK.
+    Every tensor must be C-contiguous (the blocks are slices of flat views).
     """
-    if len(grads) != len(params) or len(state.m) != len(params):
-        raise ShapeError(f"parameter/gradient/state counts differ: "
-                         f"{len(params)}/{len(grads)}/{len(state.m)}")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"tensor shape mismatch: {p.shape} vs {g.shape} vs {m.shape}")
+    counts = (len(params), len(grads), len(state.m), len(state.v))
+    if len(set(counts)) != 1:
+        raise ShapeError("parameter/gradient/first-moment/second-moment counts differ: "
+                         + "/".join(str(c) for c in counts))
+    for i, tensors in enumerate(zip(params, grads, state.m, state.v)):
+        shapes = [t.shape for t in tensors]
+        if len(set(shapes)) != 1:
+            raise ShapeError(f"tensor {i} shape mismatch (param, grad, m, v): "
+                             + " vs ".join(str(s) for s in shapes))
+        if not all(t.flags.c_contiguous for t in tensors):
+            raise ShapeError(f"tensor {i}: adam_step needs C-contiguous param, grad, m and v")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * np.square(g)
-        denom = np.sqrt(v / bias2)
-        denom += state.eps
-        step = m / bias1
-        step *= state.lr
-        step /= denom
-        p -= step.astype(p.dtype, copy=False)
+    for tensors in zip(params, grads, state.m, state.v):
+        p_flat, g_flat, m_flat, v_flat = (t.reshape(-1) for t in tensors)
+        for lo in range(0, p_flat.size, BLOCK):
+            blk = slice(lo, lo + BLOCK)
+            p, g, m, v = p_flat[blk], g_flat[blk], m_flat[blk], v_flat[blk]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            denom = np.sqrt(v / bias2)
+            denom += state.eps
+            step = m / bias1
+            step *= state.lr
+            step /= denom
+            p -= step.astype(p.dtype, copy=False)
     return params, state

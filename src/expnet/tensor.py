@@ -1,9 +1,10 @@
 """The two convolution data paths and the batched im2col/col2im lowering.
 
 Tensors are plain numpy ``ndarray``s: row-major, channels-first ``[C, H, W]``
-for images and feature maps (``[B, C, H, W]`` for a batch), 32-bit floats for
-model data (the gradient-check harness re-runs everything in 64-bit, so all
-math here preserves the input dtype).  Every function allocates its output; inputs are never mutated.
+for a single image or feature map and channel-major ``[C, B, H, W]`` for a
+batch, 32-bit floats for model data (the gradient-check harness re-runs
+everything in 64-bit, so all math here preserves the input dtype).  Every
+function allocates its output; inputs are never mutated.
 
 Two independent convolution routes are kept side by side on purpose:
 ``conv2d_naive`` evaluates the convolution sum directly with explicit loops
@@ -69,36 +70,44 @@ def conv2d_naive(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def im2col_batch(x: np.ndarray, m: int, n: int, stride: int, padding: int) -> np.ndarray:
-    """Unroll receptive fields of a batch [B, C, H, W] into [C*M*N, B*P].
+    """Unroll receptive fields of a channel-major batch [C, B, H, W] into [C*M*N, B*P].
 
     Row order is (c, m, n) row-major; column order is batch-major, then output
-    position row-major, so weights.reshape(K, C*M*N) @ cols is the convolution.
+    position row-major, so weights.reshape(K, C*M*N) @ cols is the convolution,
+    already channel-major as [K, B, H', W'].
     """
-    b, c, h, w = x.shape
+    c, b, h, w = x.shape
     h_out = _conv_out_size(h, m, stride, padding)
     w_out = _conv_out_size(w, n, stride, padding)
     xpad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((c, m, n, b, h_out, w_out), dtype=x.dtype)
     for mi in range(m):
         for ni in range(n):
-            view = xpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                        ni:ni + (w_out - 1) * stride + 1:stride]
-            cols[:, mi, ni] = view.transpose(1, 0, 2, 3)
+            cols[:, mi, ni] = xpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
+                                   ni:ni + (w_out - 1) * stride + 1:stride]
     return cols.reshape(c * m * n, b * h_out * w_out)
 
 
-def col2im_batch(cols: np.ndarray, x_shape: tuple[int, int, int, int],
-                 m: int, n: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of im2col_batch: fold column gradients back onto [B, C, H, W]."""
-    b, c, h, w = x_shape
+def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, int, int],
+                 stride: int, padding: int) -> np.ndarray:
+    """Input gradient [C, B, H, W] of a convolution: col2im(weights^T @ u2), fused.
+
+    ``u2`` is the output gradient as [K, B*P].  Each kernel tap (m, n), in
+    row-major order, contributes weights[:, :, m, n]^T @ u2 to its shifted
+    window of the padded gradient, so the [C*M*N, B*P] column gradient is
+    never materialised.
+    """
+    c, b, h, w = x_shape
+    _, _, m, n = weights.shape
     h_out = _conv_out_size(h, m, stride, padding)
     w_out = _conv_out_size(w, n, stride, padding)
-    g = cols.reshape(c, m, n, b, h_out, w_out)
-    gxpad = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    gxpad = np.zeros((c, b, h + 2 * padding, w + 2 * padding),
+                     dtype=np.result_type(weights, u2))
     for mi in range(m):
         for ni in range(n):
+            tap = weights[:, :, mi, ni].T @ u2
             gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                  ni:ni + (w_out - 1) * stride + 1:stride] += g[:, mi, ni].transpose(1, 0, 2, 3)
+                  ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
     if padding:
         return gxpad[:, :, padding:h + padding, padding:w + padding]
     return gxpad
@@ -109,6 +118,6 @@ def conv2d_fast(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """im2col + GEMM convolution; same contract as conv2d_naive."""
     h_out, w_out = _check_conv_args(input, weights, bias, stride, padding)
     k = weights.shape[0]
-    cols = im2col_batch(input[None], *weights.shape[2:], stride, padding)
+    cols = im2col_batch(input[:, None], *weights.shape[2:], stride, padding)
     out = weights.reshape(k, -1) @ cols + bias[:, None].astype(input.dtype)
     return out.reshape(k, h_out, w_out)

@@ -202,15 +202,16 @@ def test_conv_backward_identity_kernel_adjoint():
 
 def test_conv_backward_matches_finite_difference():
     rng = Rng(12)
-    x = rng.uniforms(2 * 6 * 6, -1, 1).reshape(1, 2, 6, 6)
+    x = rng.uniforms(2 * 6 * 6, -1, 1).reshape(2, 1, 6, 6)        # [C, B, H, W]
     w = rng.uniforms(3 * 2 * 3 * 3, -1, 1).reshape(3, 2, 3, 3)
     b = rng.uniforms(3, -1, 1)
     up = rng.uniforms(3 * 6 * 6, -1, 1).reshape(3, 6, 6)
 
     def loss(wv, bv, xv):
-        return float((conv2d_fast(xv[0], wv, bv, 1, 1) * up).sum())
+        return float((conv2d_fast(xv[:, 0], wv, bv, 1, 1) * up).sum())
 
-    gw, gb, gx = conv_grads(ConvLayer(w, b, 1, 1), x, up[None])
+    gw, gb, gx = conv_grads(ConvLayer(w, b, 1, 1), x, up[:, None])
+    assert gx.shape == x.shape
     num_w = central_diff(lambda v: loss(v, b, x), w)
     num_b = central_diff(lambda v: loss(w, v, x), b)
     num_x = central_diff(lambda v: loss(w, b, v), x)
@@ -221,22 +222,129 @@ def test_conv_backward_matches_finite_difference():
 
 def test_batched_conv_matches_per_sample():
     rng = Rng(13)
-    xs = rng.uniforms(4 * 2 * 5 * 5, -1, 1).reshape(4, 2, 5, 5).astype(np.float32)
+    xs = rng.uniforms(2 * 4 * 5 * 5, -1, 1).reshape(2, 4, 5, 5).astype(np.float32)
     w = rng.uniforms(3 * 2 * 3 * 3, -1, 1).reshape(3, 2, 3, 3).astype(np.float32)
     b = rng.uniforms(3, -1, 1).astype(np.float32)
     layer = ConvLayer(w, b, 1, 1)
-    out, cache = conv_forward_batch(layer, xs)
+    out, cache = conv_forward_batch(layer, xs)          # channel-major: sample i is [:, i]
+    assert out.shape == (3, 4, 5, 5)
     for i in range(4):
-        single = conv2d_fast(xs[i], w, b, 1, 1)
-        assert np.allclose(out[i], single, atol=1e-6)
+        single = conv2d_fast(xs[:, i], w, b, 1, 1)
+        assert np.allclose(out[:, i], single, atol=1e-6)
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape).astype(np.float32)
     gw, gb, gx = conv_backward_batch(layer, up, cache)
     gw_sum = np.zeros_like(gw)
     gb_sum = np.zeros_like(gb)
     for i in range(4):
-        gwi, gbi, gxi = conv_grads(layer, xs[i][None], up[i][None])
+        gwi, gbi, gxi = conv_grads(layer, xs[:, i:i + 1], up[:, i:i + 1])
         gw_sum += gwi
         gb_sum += gbi
-        assert np.allclose(gx[i], gxi[0], atol=1e-5)
+        assert np.allclose(gx[:, i], gxi[:, 0], atol=1e-5)
     assert np.allclose(gw, gw_sum, atol=1e-4)
     assert np.allclose(gb, gb_sum, atol=1e-5)
+
+
+def test_conv_backward_without_input_grad():
+    # the first conv skips its input gradient; the parameter gradients are unchanged
+    rng = Rng(14)
+    x = rng.uniforms(2 * 3 * 7 * 7, -1, 1).reshape(2, 3, 7, 7).astype(np.float32)
+    layer = ConvLayer(rng.uniforms(4 * 2 * 3 * 3, -1, 1).reshape(4, 2, 3, 3).astype(np.float32),
+                      rng.uniforms(4, -1, 1).astype(np.float32), 1, 1)
+    out, cache = conv_forward_batch(layer, x)
+    up = rng.uniforms(out.size, -1, 1).reshape(out.shape).astype(np.float32)
+    gw, gb, gx = conv_backward_batch(layer, up, cache)
+    gw0, gb0, gx0 = conv_backward_batch(layer, up, cache, need_input_grad=False)
+    assert gx0 is None and gx.shape == x.shape
+    assert gw0.tobytes() == gw.tobytes() and gb0.tobytes() == gb.tobytes()
+
+
+# --- ReLU after max pooling ---
+
+def relu_then_pool_reference(x, window, stride):
+    """Loop oracle of the old stage order: pooled relu(x) and first-argmax offsets."""
+    r = np.maximum(x, 0)
+    h_out = (x.shape[-2] - window) // stride + 1
+    w_out = (x.shape[-1] - window) // stride + 1
+    out = np.zeros((*x.shape[:-2], h_out, w_out), dtype=x.dtype)
+    off = np.zeros(out.shape, dtype=np.uint8)
+    for idx in np.ndindex(*x.shape[:-2], h_out, w_out):
+        *lead, i, j = idx
+        win = r[(*lead, slice(i * stride, i * stride + window),
+                 slice(j * stride, j * stride + window))].reshape(-1)
+        off[idx] = int(np.argmax(win))
+        out[idx] = win[off[idx]]
+    return out, off
+
+
+def relu_then_pool_backward_reference(x, up, window, stride):
+    """Route up to the reference offsets, then apply the full-resolution ReLU mask.
+
+    Overlapping windows add into a cell tap by tap, in row-major tap order.
+    """
+    _, off = relu_then_pool_reference(x, window, stride)
+    grad = np.zeros_like(x)
+    for tap in range(window * window):
+        m, n = divmod(tap, window)
+        for idx in zip(*np.nonzero(off == tap)):
+            *lead, i, j = idx
+            grad[(*lead, i * stride + m, j * stride + n)] += up[idx]
+    return grad * (x > 0)
+
+
+def pool_then_relu_case(seed, window):
+    """[2, 3, 6, 6] input with an all-negative window, a tie window and a window tied at 0."""
+    x = Rng(seed).uniforms(2 * 3 * 6 * 6, -1, 1).reshape(2, 3, 6, 6).astype(np.float32)
+    k = window
+    x[0, 0, :k, :k] = -0.5                      # all-negative (dead) window
+    x[0, 1, :k, :k] = 0.25                      # every cell tied
+    x[1, 2, k:2 * k, k:2 * k] = np.resize([-0.3, 0.0, 0.0, -0.1], (k, k))   # dead, tied at 0
+    return x
+
+
+def test_relu_after_pool_matches_relu_then_pool():
+    for window, stride in ((2, 2), (3, 3), (2, 1)):
+        x = pool_then_relu_case(20, window)
+        pooled, off = _pool_offsets_batch(x, window, stride)
+        out = relu_forward(pooled)
+        ref_out, ref_off = relu_then_pool_reference(x, window, stride)
+        assert out.tobytes() == ref_out.tobytes()
+        live = out > 0
+        assert np.array_equal(off[live], ref_off[live])
+        assert not live.all() and live.any()
+        fast, none = _pool_offsets_batch(x, window, stride, need_offsets=False)
+        assert none is None and fast.tobytes() == pooled.tobytes()
+
+
+def test_relu_after_pool_backward_matches_relu_then_pool():
+    for window, stride in ((2, 2), (3, 3), (2, 1)):
+        x = pool_then_relu_case(21, window)
+        pooled, off = _pool_offsets_batch(x, window, stride)
+        up = Rng(22).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
+        grad = _pool_backward_offsets_batch(up * (relu_forward(pooled) > 0), off,
+                                            x.shape, window, stride)
+        ref = relu_then_pool_backward_reference(x, up, window, stride)
+        assert np.array_equal(grad, ref)
+        k = window
+        assert not grad[0, 0, :k, :k].any()     # dead window passes nothing
+        if window == stride:                    # the tie routes to the first cell
+            assert grad[0, 1, 0, 0] == up[0, 1, 0, 0]
+            assert not grad[0, 1, :k, :k].ravel()[1:].any()
+
+
+def test_tiled_pool_backward_equals_general_path():
+    # window == stride tiling the input takes the write-once path; one extra input
+    # row (never pooled) forces the zero-fill-and-add path on the same windows
+    for shape, window in (((3, 2, 8, 6), 2), ((2, 2, 9, 6), 3)):
+        x = Rng(23).uniforms(int(np.prod(shape)), -1, 1).reshape(shape).astype(np.float32)
+        x[0, 0, :window, :window] = 0.5         # tie window
+        pooled, off = _pool_offsets_batch(x, window, window)
+        up = Rng(24).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
+        tiled = _pool_backward_offsets_batch(up, off, x.shape, window, window)
+        taller = (*shape[:-2], shape[-2] + 1, shape[-1])
+        general = _pool_backward_offsets_batch(up, off, taller, window, window)
+        assert not general[..., -1, :].any()
+        # equal element for element; an unrouted cell may be -0.0 instead of +0.0
+        assert np.array_equal(tiled, general[..., :-1, :])
+        nonzero = tiled != 0
+        assert tiled[nonzero].tobytes() == general[..., :-1, :][nonzero].tobytes()
+        assert np.count_nonzero(nonzero) == np.count_nonzero(up)

@@ -10,18 +10,21 @@ from expnet.rng import Rng
 
 
 def test_default_architecture_shape_chain():
-    # 1x64x64 -> 32x64x64 -> 32x32x32 -> 64x32x32 -> 64x16x16 -> 16384 -> 128 -> (8, 10)
+    # 1x64x64 -> 32x64x64 -> 32x32x32 -> 64x32x32 -> 64x16x16 -> 16384 -> 128 -> (8, 10),
+    # the trunk channel-major [C, B, H, W] with each ReLU after its pool
     m = MultiOutputModel.init(DEFAULT_ARCH, 0)
     x = Rng(0).uniforms(64 * 64).reshape(1, 1, 64, 64).astype(np.float32)
     y, _ = conv_forward_batch(m.convs[0], x)
-    assert y.shape == (1, 32, 64, 64)
-    y, _ = _pool_offsets_batch(relu_forward(y), 2, 2)
-    assert y.shape == (1, 32, 32, 32)
+    assert y.shape == (32, 1, 64, 64)
+    y, _ = _pool_offsets_batch(y, 2, 2)
+    y = relu_forward(y)
+    assert y.shape == (32, 1, 32, 32)
     y2, _ = conv_forward_batch(m.convs[1], y)
-    assert y2.shape == (1, 64, 32, 32)
-    y2, _ = _pool_offsets_batch(relu_forward(y2), 2, 2)
-    assert y2.shape == (1, 64, 16, 16)
-    flat = y2.reshape(1, -1)
+    assert y2.shape == (64, 1, 32, 32)
+    y2, _ = _pool_offsets_batch(y2, 2, 2)
+    y2 = relu_forward(y2)
+    assert y2.shape == (64, 1, 16, 16)
+    flat = y2.transpose(1, 0, 2, 3).reshape(1, -1)
     assert flat.shape == (1, 16384)
     hidden = dense_forward_batch(m.dense, flat)
     assert hidden.shape == (1, 128)
@@ -29,6 +32,8 @@ def test_default_architecture_shape_chain():
     assert dense_forward_batch(m.exp_head, hidden).shape == (1, 10)
     assert DEFAULT_ARCH.stage_shapes() == [(1, 64, 64), (32, 32, 32), (64, 16, 16)]
     assert DEFAULT_ARCH.feature_size() == 16384
+    base, exp, _ = m.forward_batch(x)
+    assert np.array_equal(base[0], dense_forward_batch(m.base_head, relu_forward(hidden))[0])
 
 
 def test_forward_logit_shapes_and_trace():
@@ -37,12 +42,28 @@ def test_forward_logit_shapes_and_trace():
     base, exp, trace = model_forward(m, img)
     assert base.shape == (8,) and exp.shape == (10,)
     assert trace.batch == 1
-    assert len(trace.conv_caches) == len(trace.relu_masks) == len(trace.pool_offsets) == 2
-    assert trace.relu_masks[0].shape == (1, 32, 64, 64)
-    assert trace.pool_offsets[1].shape == (1, 64, 16, 16)
+    assert len(trace.conv_caches) == len(trace.conv_shapes) == 2
+    assert len(trace.relu_masks) == len(trace.pool_offsets) == 2
+    assert trace.conv_shapes == [(32, 1, 64, 64), (64, 1, 32, 32)]
+    # masks are taken after the pool, at pooled resolution
+    assert trace.relu_masks[0].shape == (32, 1, 32, 32)
+    assert trace.relu_masks[1].shape == trace.pool_offsets[1].shape == (64, 1, 16, 16)
     assert trace.pool_offsets[1].dtype == np.uint8
     assert trace.flat.shape == (1, 16384) and trace.hidden.shape == (1, 128)
+    assert np.array_equal(trace.relu_masks[1].transpose(1, 0, 2, 3).reshape(1, -1),
+                          trace.flat > 0)
     assert m.forward_batch(img[None], need_trace=False)[2] is None
+
+
+def test_forward_batch_matches_per_sample():
+    m = MultiOutputModel.init(TINY_ARCH, 2)
+    imgs = Rng(2).uniforms(3 * 16 * 16).reshape(3, 1, 16, 16).astype(np.float32)
+    base, exp, _ = m.forward_batch(imgs)
+    base_eval, exp_eval, _ = m.forward_batch(imgs, need_trace=False)
+    assert np.array_equal(base, base_eval) and np.array_equal(exp, exp_eval)
+    for i in range(3):
+        b1, e1, _ = model_forward(m, imgs[i])
+        assert np.allclose(b1, base[i], atol=1e-5) and np.allclose(e1, exp[i], atol=1e-5)
 
 
 def test_zero_image_zero_heads_give_zero_logits():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from expnet import optim
 from expnet.errors import ShapeError
 from expnet.optim import AdamState, adam_step
+from expnet.rng import Rng
 
 
 def test_first_step_moves_by_lr():
@@ -76,3 +78,63 @@ def test_state_mirrors_parameter_tree():
     assert [m.shape for m in state.m] == [(2, 3), (4,)]
     assert [v.shape for v in state.v] == [(2, 3), (4,)]
     assert state.t == 0
+
+
+def test_short_second_moment_list_rejected():
+    params = [np.zeros(3, dtype=np.float32), np.zeros(2, dtype=np.float32)]
+    state = AdamState.init(params)
+    state.v = state.v[:1]
+    with pytest.raises(ShapeError, match="counts differ"):
+        adam_step(params, [np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)], state)
+    assert state.t == 0 and not params[1].any()
+
+
+def test_second_moment_shape_mismatch_rejected():
+    p = np.zeros((2, 3), dtype=np.float32)
+    state = AdamState.init([p])
+    state.v[0] = np.zeros(6, dtype=np.float32)
+    with pytest.raises(ShapeError, match="tensor 0 shape mismatch"):
+        adam_step([p], [np.ones_like(p)], state)
+    assert state.t == 0
+
+
+def test_non_contiguous_tensor_rejected():
+    # a strided parameter cannot be updated in place through a flat view
+    base = np.zeros((4, 6), dtype=np.float32)
+    p = base[:, ::2]
+    state = AdamState.init([np.zeros((4, 3), dtype=np.float32)])
+    with pytest.raises(ShapeError, match="C-contiguous"):
+        adam_step([p], [np.ones((4, 3), dtype=np.float32)], state)
+    g = np.ones((3, 4), dtype=np.float32).T
+    with pytest.raises(ShapeError, match="C-contiguous"):
+        adam_step([np.zeros((4, 3), dtype=np.float32)], [g], state)
+
+
+def unblocked_adam(p, g, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The whole-tensor update, one numpy pass per operation."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.square(g)
+    denom = np.sqrt(v / (1.0 - b2 ** t))
+    denom += eps
+    step = m / (1.0 - b1 ** t)
+    step *= lr
+    step /= denom
+    p -= step.astype(p.dtype, copy=False)
+
+
+def test_blocked_update_is_bitwise_the_unblocked_formula():
+    n = (1 << 16) + 3                  # one full block and a 3-element tail
+    assert optim.BLOCK == 1 << 16
+    rng = Rng(31)
+    p = rng.uniforms(n, -1, 1).astype(np.float32)
+    ref_p, ref_m, ref_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    state = AdamState.init([p])
+    for t in range(1, 4):
+        g = rng.uniforms(n, -1, 1).astype(np.float32)
+        adam_step([p], [g], state)
+        unblocked_adam(ref_p, g, ref_m, ref_v, t)
+        assert p.tobytes() == ref_p.tobytes()
+        assert state.m[0].tobytes() == ref_m.tobytes()
+        assert state.v[0].tobytes() == ref_v.tobytes()

@@ -84,17 +84,38 @@ def test_dataset_trailing_bytes_rejected(tmp_path):
 
 
 def test_dataset_label_out_of_range_rejected(tmp_path):
+    # the writer refuses such labels, so patch them into a valid file's bytes
     ds = generate_dataset(GenConfig(count=3, master_seed=4))
-    path = str(tmp_path / "d.bin")
-    ds[1].base_label = 200
-    write_dataset(ds, path)
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    whole = path.read_bytes()
+    record = 64 * 64 + 2 + 12                 # pixels, two label bytes, three f32
+    base_at = 24 + record + 64 * 64           # sample 1's base label
+    path.write_bytes(whole[:base_at] + bytes([200]) + whole[base_at + 1:])
     with pytest.raises(FileFormatError, match="sample 1"):
-        read_dataset(path)
-    ds[1].base_label = 7              # the last of base digits 2..9
-    ds[2].exp_label = 10              # one past exponent digits 0..9
-    write_dataset(ds, path)
+        read_dataset(str(path))
+    exp_at = 24 + 2 * record + 64 * 64 + 1    # sample 2's exp label
+    path.write_bytes(whole[:base_at] + bytes([7]) + whole[base_at + 1:exp_at]   # base digit 9
+                     + bytes([10]) + whole[exp_at + 1:])                       # one past 0..9
     with pytest.raises(FileFormatError, match="sample 2"):
-        read_dataset(path)
+        read_dataset(str(path))
+
+
+def test_dataset_writer_rejects_out_of_range_label(tmp_path):
+    ds = generate_dataset(GenConfig(count=3, master_seed=4))
+    path = tmp_path / "d.bin"
+    ds[1].base_label = 200
+    with pytest.raises(ValueError, match="sample 1 labels"):
+        write_dataset(ds, str(path))
+    assert not path.exists()
+    ds[1].base_label = 7
+    ds[2].exp_label = -1
+    with pytest.raises(ValueError, match="sample 2 labels"):
+        write_dataset(ds, str(path))
+    assert not path.exists()
+    ds[2].exp_label = 9
+    write_dataset(ds, str(path))
+    assert [s.base_label for s in read_dataset(str(path))[0]][1] == 7
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
@@ -130,6 +151,22 @@ def test_checkpoint_with_adam_state(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(state.v, back.v):
         assert np.array_equal(a, b)
+
+
+def test_checkpoint_moment_shape_mismatch_rejected_at_read(tmp_path):
+    model = MultiOutputModel.init(TINY_ARCH, 3)
+    state = AdamState.init(model.param_arrays())
+    state.m[0] = np.zeros(3, dtype=np.float32)          # conv0.weights is (4, 1, 3, 3)
+    path = str(tmp_path / "m.ckpt")
+    write_checkpoint(model, path, adam_state=state)
+    with pytest.raises(ArchitectureMismatchError,
+                       match=r"m.ckpt: Adam m tensor of conv0.weights has shape \(3,\)"):
+        read_checkpoint(path)
+    state = AdamState.init(model.param_arrays())
+    state.v[-1] = np.zeros((2, 5), dtype=np.float32)
+    write_checkpoint(model, path, adam_state=state)
+    with pytest.raises(ArchitectureMismatchError, match="Adam v tensor of exp_head.bias"):
+        read_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

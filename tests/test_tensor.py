@@ -3,7 +3,7 @@ import pytest
 
 from expnet.errors import ShapeError
 from expnet.rng import Rng
-from expnet.tensor import conv2d_fast, conv2d_naive, im2col_batch
+from expnet.tensor import col2im_batch, conv2d_fast, conv2d_naive, im2col_batch
 
 
 def test_conv2d_identity_kernel():
@@ -53,11 +53,11 @@ def test_im2col_full_window_single_column():
 
 def test_im2col_1x1_window_is_flatten():
     rng = Rng(4)
-    x = rng.uniforms(2 * 3 * 4 * 5).reshape(2, 3, 4, 5).astype(np.float32)
+    x = rng.uniforms(3 * 2 * 4 * 5).reshape(3, 2, 4, 5).astype(np.float32)   # [C, B, H, W]
     cols = im2col_batch(x, 1, 1, 1, 0)
     assert cols.shape == (3, 40)
     # columns are batch-major: sample 0's 20 positions, then sample 1's
-    assert np.array_equal(cols, x.transpose(1, 0, 2, 3).reshape(3, 40))
+    assert np.array_equal(cols, x.reshape(3, 40))
 
 
 def test_im2col_padding_corner_zeros():
@@ -67,6 +67,43 @@ def test_im2col_padding_corner_zeros():
     corner = cols[:, 0]   # receptive field of output (0, 0) over the padded image
     assert np.count_nonzero(corner == 0) == 3
     assert corner[3] == 1.0
+
+
+def col2im_reference(cols, x_shape, m, n, stride, padding):
+    """Adjoint of im2col_batch by explicit loops: fold [C*M*N, B*P] onto [C, B, H, W]."""
+    c, b, h, w = x_shape
+    h_out = (h + 2 * padding - m) // stride + 1
+    w_out = (w + 2 * padding - n) // stride + 1
+    g = cols.reshape(c, m, n, b, h_out, w_out)
+    gx = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    for ci, mi, ni, bi, i, j in np.ndindex(g.shape):
+        gx[ci, bi, i * stride + mi, j * stride + ni] += g[ci, mi, ni, bi, i, j]
+    return gx[:, :, padding:padding + h, padding:padding + w]
+
+
+def test_fused_col2im_matches_explicit_column_gradient():
+    # col2im_batch folds weights^T @ u2 tap by tap; the reference builds the
+    # [C*M*N, B*P] column gradient first and folds it with loops
+    for seed, (c, b, h, w, k, m, stride, pad) in enumerate(
+            [(3, 2, 6, 5, 4, 3, 1, 1), (2, 3, 7, 7, 5, 3, 2, 1), (4, 1, 5, 6, 3, 2, 1, 0)]):
+        rng = Rng(50 + seed)
+        x_shape = (c, b, h, w)
+        weights = rng.uniforms(k * c * m * m, -1, 1).reshape(k, c, m, m).astype(np.float32)
+        h_out = (h + 2 * pad - m) // stride + 1
+        w_out = (w + 2 * pad - m) // stride + 1
+        u2 = rng.uniforms(k * b * h_out * w_out, -1, 1).reshape(k, -1).astype(np.float32)
+        fused = col2im_batch(weights, u2, x_shape, stride, pad)
+        assert fused.shape == x_shape and fused.dtype == np.float32
+        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, m, stride, pad)
+        assert np.max(np.abs(fused - ref)) < 1e-6
+        # and it is the adjoint of im2col_batch: <im2col(x), G> == <x, col2im(G)>
+        x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
+        cols = im2col_batch(x, m, m, stride, pad)
+        g = weights.reshape(k, -1).T.astype(np.float64) @ u2.astype(np.float64)
+        lhs = float((cols * g).sum())
+        rhs = float((x * col2im_batch(weights.astype(np.float64), u2.astype(np.float64),
+                                      x_shape, stride, pad)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_conv_fast_matches_naive_randomized():
