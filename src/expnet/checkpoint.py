@@ -10,6 +10,7 @@ enough to rebuild the model.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -33,7 +34,7 @@ def _pack_tensor(arr: np.ndarray) -> bytes:
 def _read_tensor(reader: ByteReader) -> np.ndarray:
     rank = reader.u32()
     shape = tuple(reader.u32() for _ in range(rank))
-    n = int(np.prod(shape)) if shape else 1
+    n = math.prod(shape)           # Python ints: a huge shape cannot wrap to a small size
     data = np.frombuffer(reader.take(4 * n), dtype="<f4").astype(np.float32)
     return data.reshape(shape)
 

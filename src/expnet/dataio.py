@@ -38,6 +38,8 @@ class ByteReader:
         self.path = path
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise FileFormatError(f"{self.path}: negative length {n} at offset {self.pos}")
         if self.pos + n > len(self.data):
             raise TruncatedFileError(
                 f"{self.path}: needed {n} bytes at offset {self.pos}, "
@@ -105,6 +107,9 @@ def read_dataset(path: str) -> tuple[list[Sample], DatasetHeader]:
         raise VersionMismatchError(f"{path}: dataset version {version}, expected {VERSION}")
     count = reader.u32()
     h, w = reader.u32(), reader.u32()
+    if h == 0 or w == 0:
+        raise FileFormatError(f"{path}: image size {h}x{w} at offset {reader.pos - 8} "
+                              "has a zero dimension")
     base_range = (reader.u8(), reader.u8())
     exp_range = (reader.u8(), reader.u8())
     samples = []

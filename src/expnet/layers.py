@@ -70,9 +70,14 @@ def _pool_offsets_batch(x: np.ndarray, window: int, stride: int, need_offsets: b
         out = np.maximum(m_ab, m_cd)
         if not need_offsets:
             return out, None
-        off = np.where(m_cd > m_ab,
-                       np.uint8(2) + (d > cc).astype(np.uint8),
-                       (bb > a).astype(np.uint8))
+        # off = 2 + (d > cc) where the bottom row's max beats the top row's, else
+        # (bb > a), as uint8 bit operations: with the and-mask 0 the xors give lo
+        lo = (bb > a).view(np.uint8)
+        off = (d > cc).view(np.uint8)
+        off |= 2
+        off ^= lo
+        off &= np.negative((m_cd > m_ab).view(np.uint8))
+        off ^= lo
         return out, off
     stack = np.empty((*x.shape[:-2], h_out, w_out, window * window), dtype=x.dtype)
     for m in range(window):
@@ -130,7 +135,8 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray):
     b = x.shape[1]
     k, _, m, n = layer.weights.shape
     cols = im2col_batch(x, m, n, layer.stride, layer.padding)
-    out = layer.weights.reshape(k, -1) @ cols + layer.bias[:, None]
+    out = layer.weights.reshape(k, -1) @ cols
+    out += layer.bias[:, None]
     return out.reshape(k, b, h_out, w_out), (cols, x.shape)
 
 

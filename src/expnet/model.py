@@ -23,6 +23,15 @@ from .tensor import DTYPE
 N_BASE_CLASSES = 8    # digits 2..9
 N_EXP_CLASSES = 10    # digits 0..9
 
+# Samples per trunk slice of an untraced forward.  conv1's im2col matrix takes
+# 1.18 MB per sample of the default architecture; 16 samples (18.9 MB) stay
+# under glibc's 32 MiB mmap ceiling, so the buffer is reused from the heap
+# instead of being mapped and page-faulted afresh on every call, and
+# throughput is flat for slices of 8 to 24.  Only the trunk is sliced: its
+# conv GEMM gives each column the same bits at any batch size, while the small
+# head GEMMs do not, so dense and heads run once on the whole batch.
+TRUNK_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class Architecture:
@@ -196,14 +205,40 @@ class MultiOutputModel:
         The trunk runs channel-major, [C, B, H, W], and applies each ReLU after
         its max pool: max is monotone, so relu(maxpool(x)) == maxpool(relu(x))
         exactly, at a quarter of the elements.  need_trace=False skips the
-        backward caches and the pool offsets (inference / evaluation).
+        backward caches and the pool offsets (inference / evaluation) and runs
+        the trunk TRUNK_CHUNK samples at a time; dense and heads always see the
+        whole batch.
         """
         h, w = self.arch.input_hw
-        if x.ndim != 4 or x.shape[1:] != (1, h, w):
-            raise ShapeError(f"input: expected [B, 1, {h}, {w}], got {x.shape}")
+        if x.ndim != 4 or x.shape[0] == 0 or x.shape[1:] != (1, h, w):
+            raise ShapeError(f"input: expected [B, 1, {h}, {w}] with B >= 1, got {x.shape}")
         batch = x.shape[0]
         x = x.transpose(1, 0, 2, 3)
-        conv_caches, conv_shapes, relu_masks, pool_offsets = [], [], [], []
+        if need_trace:
+            flat, stages = self._trunk(x, need_trace=True)
+        else:
+            flat = None
+            for lo in range(0, batch, TRUNK_CHUNK):
+                part, _ = self._trunk(x[:, lo:lo + TRUNK_CHUNK], need_trace=False)
+                if flat is None:
+                    flat = np.empty((batch, part.shape[1]), dtype=part.dtype)
+                flat[lo:lo + TRUNK_CHUNK] = part
+        pre = dense_forward_batch(self.dense, flat)
+        hidden = relu_forward(pre)
+        trace = None
+        if need_trace:
+            trace = ForwardTrace(batch, *stages, flat, pre > 0, hidden)
+        base_logits = dense_forward_batch(self.base_head, hidden)
+        exp_logits = dense_forward_batch(self.exp_head, hidden)
+        return base_logits, exp_logits, trace
+
+    def _trunk(self, x: np.ndarray, need_trace: bool):
+        """Channel-major [1, B, H, W] -> (flat features [B, F], stage caches).
+
+        Each stage is conv -> max pool -> ReLU.  The caches are ForwardTrace's
+        four per-stage lists, left empty unless need_trace.
+        """
+        conv_caches, conv_shapes, relu_masks, pool_offsets = stages = ([], [], [], [])
         for i, conv in enumerate(self.convs):
             try:
                 x, cache = conv_forward_batch(conv, x)
@@ -218,19 +253,12 @@ class MultiOutputModel:
                 conv_shapes.append(conv_shape)
                 relu_masks.append(x > 0)
                 pool_offsets.append(offsets)
-        x = x.transpose(1, 0, 2, 3).reshape(batch, -1)
-        if x.shape[1] != self.dense.weights.shape[1]:
+        flat = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+        if flat.shape[1] != self.dense.weights.shape[1]:
             raise ShapeError(
-                f"dense: flattened width {x.shape[1]} != expected {self.dense.weights.shape[1]}")
-        pre = dense_forward_batch(self.dense, x)
-        hidden = relu_forward(pre)
-        trace = None
-        if need_trace:
-            trace = ForwardTrace(batch, conv_caches, conv_shapes, relu_masks, pool_offsets,
-                                 x, pre > 0, hidden)
-        base_logits = dense_forward_batch(self.base_head, hidden)
-        exp_logits = dense_forward_batch(self.exp_head, hidden)
-        return base_logits, exp_logits, trace
+                f"dense: flattened width {flat.shape[1]} != expected "
+                f"{self.dense.weights.shape[1]}")
+        return flat, stages
 
     def backward_batch(self, trace: ForwardTrace, grad_base: np.ndarray,
                        grad_exp: np.ndarray) -> list[np.ndarray]:

@@ -124,6 +124,7 @@ def test_criterion_3_analytic_loss_identities():
            f"{uniform.total:.6f} vs ln8+ln10 = {expect:.6f} (err {loss_err:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_4_desk_scale_accuracy(desk):
     rep = evaluate(desk["result"].model, desk["test_set"])
     ok = (rep.base_accuracy >= 0.90 and rep.exp_accuracy >= 0.90
@@ -134,6 +135,7 @@ def test_criterion_4_desk_scale_accuracy(desk):
            f"{len(desk['result'].history)} epochs in {desk['train_minutes']:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_5_noise_robustness(desk):
     t0 = time.time()
     clean = evaluate(desk["result"].model, desk["test_set"])
@@ -150,6 +152,7 @@ def test_criterion_5_noise_robustness(desk):
            f"; clean {clean.joint_accuracy:.3f}; {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_pipeline_determinism(desk, tmp_path):
     rerun = run_desk_pipeline(tmp_path)
     same_data = open(desk["data_path"], "rb").read() == open(rerun["data_path"], "rb").read()

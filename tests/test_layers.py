@@ -260,20 +260,38 @@ def test_conv_backward_without_input_grad():
 
 # --- ReLU after max pooling ---
 
-def relu_then_pool_reference(x, window, stride):
-    """Loop oracle of the old stage order: pooled relu(x) and first-argmax offsets."""
-    r = np.maximum(x, 0)
+def pool_reference(x, window, stride):
+    """Loop oracle of max pooling: pooled values and first-maximum (row-major) offsets."""
     h_out = (x.shape[-2] - window) // stride + 1
     w_out = (x.shape[-1] - window) // stride + 1
     out = np.zeros((*x.shape[:-2], h_out, w_out), dtype=x.dtype)
     off = np.zeros(out.shape, dtype=np.uint8)
     for idx in np.ndindex(*x.shape[:-2], h_out, w_out):
         *lead, i, j = idx
-        win = r[(*lead, slice(i * stride, i * stride + window),
+        win = x[(*lead, slice(i * stride, i * stride + window),
                  slice(j * stride, j * stride + window))].reshape(-1)
         off[idx] = int(np.argmax(win))
         out[idx] = win[off[idx]]
     return out, off
+
+
+def test_pool_2x2_fast_path_matches_loop_reference():
+    # all 81 windows over the values {-1, 0, 1}: all-equal windows, pairwise ties
+    # within and across rows, and ties at zero; then multi-window random maps
+    ties = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4, indexing="ij"), dtype=np.float32)
+    ties = ties.reshape(4, 3, 27).transpose(1, 2, 0).reshape(3, 27, 2, 2)
+    rand = Rng(25).uniforms(2 * 3 * 8 * 6, -1, 1).reshape(2, 3, 8, 6).astype(np.float32)
+    for x in (rand, ties):
+        out, off = _pool_offsets_batch(x, 2, 2)
+        ref_out, ref_off = pool_reference(x, 2, 2)
+        assert out.tobytes() == ref_out.tobytes()
+        assert off.dtype == np.uint8 and off.tobytes() == ref_off.tobytes()
+    assert np.array_equal(np.bincount(off.ravel()), [36, 22, 14, 9])   # ties pick the first
+
+
+def relu_then_pool_reference(x, window, stride):
+    """Loop oracle of the old stage order: pooled relu(x) and first-argmax offsets."""
+    return pool_reference(np.maximum(x, 0), window, stride)
 
 
 def relu_then_pool_backward_reference(x, up, window, stride):

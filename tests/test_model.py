@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from expnet.errors import ShapeError
 from expnet.layers import conv_forward_batch, dense_forward_batch, relu_forward
 from expnet.layers import _pool_offsets_batch
-from expnet.model import (DEFAULT_ARCH, TINY_ARCH, Architecture, MultiOutputModel,
-                          model_backward, model_forward)
+from expnet.model import (DEFAULT_ARCH, TINY_ARCH, TRUNK_CHUNK, Architecture,
+                          MultiOutputModel, model_backward, model_forward)
 from expnet.rng import Rng
 
 
@@ -57,13 +59,28 @@ def test_forward_logit_shapes_and_trace():
 
 def test_forward_batch_matches_per_sample():
     m = MultiOutputModel.init(TINY_ARCH, 2)
-    imgs = Rng(2).uniforms(3 * 16 * 16).reshape(3, 1, 16, 16).astype(np.float32)
-    base, exp, _ = m.forward_batch(imgs)
-    base_eval, exp_eval, _ = m.forward_batch(imgs, need_trace=False)
-    assert np.array_equal(base, base_eval) and np.array_equal(exp, exp_eval)
-    for i in range(3):
-        b1, e1, _ = model_forward(m, imgs[i])
-        assert np.allclose(b1, base[i], atol=1e-5) and np.allclose(e1, exp[i], atol=1e-5)
+    # the untraced trunk runs in TRUNK_CHUNK slices, the traced one in one pass
+    for n in (3, 2 * TRUNK_CHUNK + 3):
+        imgs = Rng(n).uniforms(n * 16 * 16).reshape(n, 1, 16, 16).astype(np.float32)
+        base, exp, _ = m.forward_batch(imgs)
+        base_eval, exp_eval, _ = m.forward_batch(imgs, need_trace=False)
+        assert np.array_equal(base, base_eval) and np.array_equal(exp, exp_eval)
+        for i in range(n):
+            b1, e1, _ = model_forward(m, imgs[i])
+            assert np.allclose(b1, base[i], atol=1e-5) and np.allclose(e1, exp[i], atol=1e-5)
+
+
+def test_untraced_forward_memory_is_bounded_by_the_trunk_slice():
+    # an unsliced 256-image trunk would hold a 302 MB conv1 im2col matrix at once
+    m = MultiOutputModel.init(DEFAULT_ARCH, 3)
+    imgs = Rng(3).uniforms(256 * 64 * 64).reshape(256, 1, 64, 64).astype(np.float32)
+    tracemalloc.start()
+    try:
+        m.forward_batch(imgs, need_trace=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_zero_image_zero_heads_give_zero_logits():
@@ -93,6 +110,9 @@ def test_forward_rejects_wrong_input_shape():
         model_forward(m, np.zeros((1, 32, 32), dtype=np.float32))
     with pytest.raises(ShapeError):
         m.forward_batch(np.zeros((2, 3, 64, 64), dtype=np.float32))
+    for need_trace in (True, False):
+        with pytest.raises(ShapeError, match="B >= 1"):
+            m.forward_batch(np.zeros((0, 1, 64, 64), dtype=np.float32), need_trace)
 
 
 def test_shape_error_names_layer():

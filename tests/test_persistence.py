@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expnet.checkpoint import read_checkpoint, write_checkpoint
-from expnet.dataio import read_dataset, write_dataset
+from expnet.dataio import ByteReader, read_dataset, write_dataset
 from expnet.datagen import GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
@@ -99,6 +99,18 @@ def test_dataset_label_out_of_range_rejected(tmp_path):
                      + bytes([10]) + whole[exp_at + 1:])                       # one past 0..9
     with pytest.raises(FileFormatError, match="sample 2"):
         read_dataset(str(path))
+
+
+def test_dataset_zero_image_dims_rejected(tmp_path):
+    ds = generate_dataset(GenConfig(count=2, master_seed=5))
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    whole = path.read_bytes()
+    for h, w in ((0, 64), (64, 0), (0, 0)):
+        path.write_bytes(whole[:12] + struct.pack("<II", h, w) + whole[20:])
+        with pytest.raises(FileFormatError,
+                           match=f"d.bin: image size {h}x{w} at offset 12 has a zero"):
+            read_dataset(str(path))
 
 
 def test_dataset_writer_rejects_out_of_range_label(tmp_path):
@@ -219,6 +231,25 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
     path.write_bytes(bytes(swapped))
     with pytest.raises(ArchitectureMismatchError, match="conv0.weights"):
         read_checkpoint(str(path))
+
+
+def test_checkpoint_huge_tensor_dims_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(MultiOutputModel.init(TINY_ARCH, 7), str(path))
+    blob = bytearray(path.read_bytes())
+    count_at = 12 + struct.unpack_from("<I", blob, 8)[0]
+    # conv0.weights dims whose element count wraps an int64 to a negative size
+    struct.pack_into("<4I", blob, count_at + 8, 0xFFFFFFFF, 0xFFFFFFFF, 1, 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FileFormatError, match=f"m.ckpt: needed {4 * 0xFFFFFFFF ** 2} bytes"):
+        read_checkpoint(str(path))
+
+
+def test_byte_reader_rejects_negative_length():
+    reader = ByteReader(b"\0" * 8, "f.bin")
+    reader.take(3)
+    with pytest.raises(FileFormatError, match="f.bin: negative length -1 at offset 3"):
+        reader.take(-1)
 
 
 def test_checkpoint_architecture_mismatch(tmp_path):
