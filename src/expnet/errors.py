@@ -31,3 +31,7 @@ class TruncatedFileError(FileFormatError):
 
 class ArchitectureMismatchError(FileFormatError):
     """Checkpoint architecture does not match the target model."""
+
+
+class StaleTraceError(ExpnetError):
+    """A forward trace was used after its workspace served a later forward."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .datagen import GenConfig, Sample, generate_dataset
 from .losses import softmax_ce_batch
-from .model import MultiOutputModel
+from .model import MultiOutputModel, Workspace
 from .rng import Rng
 
 EVAL_CHUNK = 256
@@ -37,16 +37,19 @@ def stack_dataset(samples: list[Sample]):
 
 
 def loss_and_predictions(model: MultiOutputModel, images: np.ndarray,
-                         base_labels: np.ndarray, exp_labels: np.ndarray):
+                         base_labels: np.ndarray, exp_labels: np.ndarray,
+                         workspace: Workspace | None = None):
     """(summed two-head loss, base predictions [N], exp predictions [N]).
 
-    Runs the forward pass EVAL_CHUNK images at a time to bound its memory.
+    Runs the forward pass EVAL_CHUNK images at a time to bound its memory,
+    with its scratch arrays in ``workspace`` when one is given.
     """
     loss_sum = 0.0
     base_pred, exp_pred = [], []
     for lo in range(0, images.shape[0], EVAL_CHUNK):
         hi = lo + EVAL_CHUNK
-        base_logits, exp_logits, _ = model.forward_batch(images[lo:hi], need_trace=False)
+        base_logits, exp_logits, _ = model.forward_batch(images[lo:hi], need_trace=False,
+                                                         workspace=workspace)
         base_losses, _ = softmax_ce_batch(base_logits, base_labels[lo:hi])
         exp_losses, _ = softmax_ce_batch(exp_logits, exp_labels[lo:hi])
         loss_sum += float(base_losses.sum() + exp_losses.sum())

@@ -128,24 +128,36 @@ def dense_backward_batch(layer: DenseLayer, upstream: np.ndarray, cached_x: np.n
 
 # --- Convolution (forward via im2col + GEMM; see tensor.py for the oracle) ---
 
-def conv_forward_batch(layer: ConvLayer, x: np.ndarray):
-    """[C, B, H, W] -> ([K, B, H', W'], cache) where cache carries the im2col matrix."""
+def conv_cols_shape(layer: ConvLayer, x: np.ndarray, batch: int) -> tuple[int, ...]:
+    """Shape [C, M, N, batch, H', W'] of the im2col columns of batch samples shaped like x."""
     h_out, w_out = _check_conv_args(x[:, 0], layer.weights, layer.bias,
                                     layer.stride, layer.padding)
+    return (x.shape[0], *layer.weights.shape[2:], batch, h_out, w_out)
+
+
+def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
+    """[C, B, H, W] -> ([K, B, H', W'], cache) where cache carries the im2col matrix.
+
+    ``cols``, shaped by conv_cols_shape, receives the im2col columns instead
+    of a new array.
+    """
+    h_out, w_out = conv_cols_shape(layer, x, x.shape[1])[-2:]
     b = x.shape[1]
     k, _, m, n = layer.weights.shape
-    cols = im2col_batch(x, m, n, layer.stride, layer.padding)
+    cols = im2col_batch(x, m, n, layer.stride, layer.padding, out=cols)
     out = layer.weights.reshape(k, -1) @ cols
     out += layer.bias[:, None]
     return out.reshape(k, b, h_out, w_out), (cols, x.shape)
 
 
 def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache,
-                        need_input_grad: bool = True):
+                        need_input_grad: bool = True, gxpad: np.ndarray | None = None,
+                        u2p: np.ndarray | None = None):
     """Returns (grad_weights, grad_bias, grad_x) summed over the batch.
 
     upstream is [K, B, H', W']; grad_x is [C, B, H, W], or None when
     need_input_grad is False (the first layer, whose input is the image).
+    gxpad and u2p are col2im_batch's optional scratch arrays.
     """
     cols, x_shape = cache
     k = layer.weights.shape[0]
@@ -154,5 +166,6 @@ def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache,
     grad_b = u2.sum(axis=1)
     grad_x = None
     if need_input_grad:
-        grad_x = col2im_batch(layer.weights, u2, x_shape, layer.stride, layer.padding)
+        grad_x = col2im_batch(layer.weights, u2, x_shape, layer.stride, layer.padding,
+                              gxpad=gxpad, u2p=u2p)
     return grad_w, grad_b, grad_x

@@ -4,30 +4,36 @@ The trunk is conv -> maxpool -> ReLU repeated per conv stage, then flatten and
 one hidden dense + ReLU; two parallel dense heads score the base digit (8-way)
 and the exponent digit (10-way).  Forward passes record a ForwardTrace holding
 exactly the per-layer caches the backward pass needs, so parameters stay
-immutable during a pass and batches can be processed independently.
+immutable during a pass and batches can be processed independently.  A
+caller-owned Workspace lets consecutive passes reuse their scratch arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchitectureMismatchError, ShapeError
+from .errors import ArchitectureMismatchError, ShapeError, StaleTraceError
 from .layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
-                     _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
-                     dense_backward_batch, dense_forward_batch, relu_forward)
+                     _pool_offsets_batch, conv_backward_batch, conv_cols_shape,
+                     conv_forward_batch, dense_backward_batch, dense_forward_batch,
+                     relu_forward)
 from .rng import Rng
 from .tensor import DTYPE
 
 N_BASE_CLASSES = 8    # digits 2..9
 N_EXP_CLASSES = 10    # digits 0..9
 
-# Samples per trunk slice of an untraced forward.  conv1's im2col matrix takes
-# 1.18 MB per sample of the default architecture; 16 samples (18.9 MB) stay
-# under glibc's 32 MiB mmap ceiling, so the buffer is reused from the heap
-# instead of being mapped and page-faulted afresh on every call, and
-# throughput is flat for slices of 8 to 24.  Only the trunk is sliced: its
+# Samples per trunk slice, in every forward and in the input-gradient fold.
+# conv1's im2col matrix takes 1.18 MB per sample of the default architecture;
+# an untraced 16-sample slice (18.9 MB) stays under glibc's 32 MiB mmap
+# ceiling, so its buffer comes from the heap instead of being mapped and
+# page-faulted afresh, and throughput is flat for slices of 8 to 24.  A traced
+# slice writes its columns into the whole batch's buffer, so each slice's
+# conv -> pool -> ReLU stays in cache while grad_w = u2 @ cols.T still sums
+# over the whole batch in one column order.  Only the trunk is sliced: its
 # conv GEMM gives each column the same bits at any batch size, while the small
 # head GEMMs do not, so dense and heads run once on the whole batch.
 TRUNK_CHUNK = 16
@@ -122,22 +128,55 @@ DEFAULT_ARCH = Architecture()
 TINY_ARCH = Architecture(input_hw=(16, 16), conv_channels=(4, 8), dense_width=16)
 
 
+class Workspace:
+    """Scratch arrays that one caller reuses across passes; train() makes one per call.
+
+    ``array(name, shape, dtype)`` returns the buffer kept under (name, dtype),
+    viewed at the requested shape and grown when a request outgrows it; its
+    contents are whatever the last user left.  Forward passes keep their
+    im2col columns here and backward passes their fold scratch, so a step
+    allocates neither afresh.  ``forwards`` counts the forward passes served:
+    each one overwrites the columns of the traces recorded before it.
+    """
+
+    def __init__(self):
+        self.forwards = 0
+        self.buffers: dict[tuple[str, np.dtype], np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self.buffers.get((name, dtype))
+        if buf is None or buf.size < size:
+            buf = self.buffers[name, dtype] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Workspace.array without a workspace: a new array every call."""
+    return np.empty(shape, dtype=dtype)
+
+
 @dataclass
 class ForwardTrace:
     """Caches recorded by a forward pass, consumed by backward.
 
     The four lists hold one entry per conv stage, in forward order; trunk
-    arrays are channel-major [C, B, H, W].
+    arrays are channel-major [C, B, H, W].  A trace recorded with a workspace
+    holds its im2col columns there and is valid until that workspace serves
+    another forward.
     """
 
     batch: int
-    conv_caches: list          # conv_forward_batch caches
+    conv_caches: list          # conv_forward_batch caches, whole-batch columns
     conv_shapes: list          # conv output shapes, the pool backward's target
     relu_masks: list           # pooled conv output > 0 (ReLU runs after the pool)
     pool_offsets: list         # uint8 window offsets
     flat: np.ndarray           # flattened features, the dense input
     dense_mask: np.ndarray     # dense pre-activation > 0
     hidden: np.ndarray         # hidden activations, the heads' input
+    workspace: Workspace | None   # holds the columns, if the forward had one
+    forward_index: int         # workspace.forwards just after this forward
 
 
 class MultiOutputModel:
@@ -199,70 +238,97 @@ class MultiOutputModel:
 
     # --- passes ---
 
-    def forward_batch(self, x: np.ndarray, need_trace: bool = True):
+    def forward_batch(self, x: np.ndarray, need_trace: bool = True,
+                      workspace: Workspace | None = None):
         """[B, 1, H, W] -> (base logits [B, n_base], exp logits [B, n_exp], trace).
 
-        The trunk runs channel-major, [C, B, H, W], and applies each ReLU after
-        its max pool: max is monotone, so relu(maxpool(x)) == maxpool(relu(x))
-        exactly, at a quarter of the elements.  need_trace=False skips the
-        backward caches and the pool offsets (inference / evaluation) and runs
-        the trunk TRUNK_CHUNK samples at a time; dense and heads always see the
-        whole batch.
+        The trunk runs channel-major, [C, B, H, W], TRUNK_CHUNK samples at a
+        time, and applies each ReLU after its max pool: max is monotone, so
+        relu(maxpool(x)) == maxpool(relu(x)) exactly, at a quarter of the
+        elements.  Dense and heads see the whole batch.  A traced pass writes
+        each slice's im2col columns, pool offsets and ReLU masks into
+        whole-batch arrays; need_trace=False (inference / evaluation) skips
+        the offsets and masks and reuses one slice of columns.  The columns
+        live in ``workspace`` when one is given, else in new arrays.
         """
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[0] == 0 or x.shape[1:] != (1, h, w):
             raise ShapeError(f"input: expected [B, 1, {h}, {w}] with B >= 1, got {x.shape}")
         batch = x.shape[0]
+        scratch = _fresh
+        if workspace is not None:
+            workspace.forwards += 1
+            scratch = workspace.array
+        window, stride = self.arch.pool_window, self.arch.pool_stride
+
+        def whole(a):
+            """Shape of slice a at the full batch."""
+            return (a.shape[0], batch, *a.shape[2:])
+
         x = x.transpose(1, 0, 2, 3)
-        if need_trace:
-            flat, stages = self._trunk(x, need_trace=True)
-        else:
-            flat = None
-            for lo in range(0, batch, TRUNK_CHUNK):
-                part, _ = self._trunk(x[:, lo:lo + TRUNK_CHUNK], need_trace=False)
-                if flat is None:
-                    flat = np.empty((batch, part.shape[1]), dtype=part.dtype)
-                flat[lo:lo + TRUNK_CHUNK] = part
+        cols, caches, conv_shapes, relu_masks, pool_offsets = [], [], [], [], []
+        flat = None
+        for lo in range(0, batch, TRUNK_CHUNK):
+            part = x[:, lo:lo + TRUNK_CHUNK]
+            rows = part.shape[1]
+            at = lo if need_trace else 0        # where the slice's columns go
+            for i, conv in enumerate(self.convs):
+                in_shape = whole(part)
+                try:
+                    if lo == 0:
+                        shape = conv_cols_shape(conv, part, batch if need_trace else rows)
+                        cols.append(scratch(f"conv{i}.cols", shape, part.dtype))
+                    part, _ = conv_forward_batch(conv, part, cols=cols[i][:, :, :, at:at + rows])
+                except ShapeError as exc:
+                    raise ShapeError(f"conv{i}: {exc}") from exc
+                conv_shape = whole(part)
+                part, offsets = _pool_offsets_batch(part, window, stride,
+                                                    need_offsets=need_trace)
+                part = relu_forward(part)
+                if not need_trace:
+                    continue
+                if lo == 0:
+                    c, m, n = cols[i].shape[:3]
+                    caches.append((cols[i].reshape(c * m * n, -1), in_shape))
+                    conv_shapes.append(conv_shape)
+                    relu_masks.append(np.empty(whole(part), dtype=bool))
+                    pool_offsets.append(np.empty(whole(part), dtype=np.uint8))
+                np.greater(part, 0, out=relu_masks[i][:, lo:lo + rows])
+                pool_offsets[i][:, lo:lo + rows] = offsets
+            if flat is None:
+                flat = np.empty((batch, part[:, 0].size), dtype=part.dtype)
+                if flat.shape[1] != self.dense.weights.shape[1]:
+                    raise ShapeError(
+                        f"dense: flattened width {flat.shape[1]} != expected "
+                        f"{self.dense.weights.shape[1]}")
+            flat[lo:lo + rows] = part.transpose(1, 0, 2, 3).reshape(rows, -1)
         pre = dense_forward_batch(self.dense, flat)
         hidden = relu_forward(pre)
         trace = None
         if need_trace:
-            trace = ForwardTrace(batch, *stages, flat, pre > 0, hidden)
+            trace = ForwardTrace(batch, caches, conv_shapes, relu_masks, pool_offsets,
+                                 flat, pre > 0, hidden, workspace,
+                                 workspace.forwards if workspace is not None else 0)
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
         return base_logits, exp_logits, trace
 
-    def _trunk(self, x: np.ndarray, need_trace: bool):
-        """Channel-major [1, B, H, W] -> (flat features [B, F], stage caches).
-
-        Each stage is conv -> max pool -> ReLU.  The caches are ForwardTrace's
-        four per-stage lists, left empty unless need_trace.
-        """
-        conv_caches, conv_shapes, relu_masks, pool_offsets = stages = ([], [], [], [])
-        for i, conv in enumerate(self.convs):
-            try:
-                x, cache = conv_forward_batch(conv, x)
-            except ShapeError as exc:
-                raise ShapeError(f"conv{i}: {exc}") from exc
-            conv_shape = x.shape
-            x, offsets = _pool_offsets_batch(x, self.arch.pool_window, self.arch.pool_stride,
-                                             need_offsets=need_trace)
-            x = relu_forward(x)
-            if need_trace:
-                conv_caches.append(cache)
-                conv_shapes.append(conv_shape)
-                relu_masks.append(x > 0)
-                pool_offsets.append(offsets)
-        flat = x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
-        if flat.shape[1] != self.dense.weights.shape[1]:
-            raise ShapeError(
-                f"dense: flattened width {flat.shape[1]} != expected "
-                f"{self.dense.weights.shape[1]}")
-        return flat, stages
-
     def backward_batch(self, trace: ForwardTrace, grad_base: np.ndarray,
                        grad_exp: np.ndarray) -> list[np.ndarray]:
-        """Gradients summed over the batch, aligned with param_arrays()."""
+        """Gradients summed over the batch, aligned with param_arrays().
+
+        The fold scratch comes from the workspace that recorded the trace.
+        Raises StaleTraceError if that workspace has served a later forward,
+        which overwrote the trace's im2col columns.
+        """
+        workspace = trace.workspace
+        scratch = _fresh
+        if workspace is not None:
+            if workspace.forwards != trace.forward_index:
+                raise StaleTraceError(
+                    f"trace of forward {trace.forward_index} is stale: its workspace has "
+                    f"since served forward {workspace.forwards}, which overwrote its columns")
+            scratch = workspace.array
         gw_b, gb_b, gx_b = dense_backward_batch(self.base_head, grad_base, trace.hidden)
         gw_e, gb_e, gx_e = dense_backward_batch(self.exp_head, grad_exp, trace.hidden)
         upstream = (gx_b + gx_e) * trace.dense_mask     # heads meet at the shared trunk
@@ -272,12 +338,22 @@ class MultiOutputModel:
         upstream = upstream.transpose(1, 0, 2, 3)
         window, stride = self.arch.pool_window, self.arch.pool_stride
         for i in reversed(range(len(self.convs))):
+            conv = self.convs[i]
             upstream = _pool_backward_offsets_batch(
                 upstream * trace.relu_masks[i], trace.pool_offsets[i],
                 trace.conv_shapes[i], window, stride)
-            gw, gb, upstream = conv_backward_batch(self.convs[i], upstream,
-                                                   trace.conv_caches[i],
-                                                   need_input_grad=i > 0)
+            gxpad = u2p = None
+            if i > 0:
+                c, b, h, w = trace.conv_caches[i][1]
+                grid = (h + 2 * conv.padding, w + 2 * conv.padding)
+                gxpad = scratch(f"conv{i}.gxpad", (c, b, *grid), upstream.dtype)
+                if conv.stride == 1:
+                    u2p = scratch(f"conv{i}.u2p",
+                                  (conv.weights.shape[0], min(b, TRUNK_CHUNK), *grid),
+                                  upstream.dtype)
+            gw, gb, upstream = conv_backward_batch(conv, upstream, trace.conv_caches[i],
+                                                   need_input_grad=i > 0,
+                                                   gxpad=gxpad, u2p=u2p)
             grads[:0] = [gw, gb]
         return grads
 

@@ -1,15 +1,18 @@
-"""The two convolution data paths and the batched im2col/col2im lowering.
+"""The convolution oracle and the batched im2col/col2im lowering the model runs.
 
 Tensors are plain numpy ``ndarray``s: row-major, channels-first ``[C, H, W]``
 for a single image or feature map and channel-major ``[C, B, H, W]`` for a
 batch, 32-bit floats for model data (the gradient-check harness re-runs
-everything in 64-bit, so all math here preserves the input dtype).  Every
-function allocates its output; inputs are never mutated.
+everything in 64-bit, so all math here preserves the input dtype).  Inputs
+are never mutated.  ``im2col_batch`` and ``col2im_batch`` allocate their
+results unless the caller hands them arrays to fill (``out``, ``gxpad``,
+``u2p``); a returned array may then be a view of such an array, whose
+earlier contents are overwritten.
 
-Two independent convolution routes are kept side by side on purpose:
 ``conv2d_naive`` evaluates the convolution sum directly with explicit loops
-and serves as the oracle, while ``conv2d_fast`` lowers the same contract to
-an im2col matrix multiply.
+and is the oracle.  ``conv2d_fast`` runs a single map through
+``im2col_batch`` and a GEMM; only tests call it, while the model convolves
+through ``layers.conv_forward_batch``.
 """
 
 from __future__ import annotations
@@ -69,48 +72,115 @@ def conv2d_naive(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out.astype(input.dtype)
 
 
-def im2col_batch(x: np.ndarray, m: int, n: int, stride: int, padding: int) -> np.ndarray:
+def _check_scratch(name: str, arr: np.ndarray, shape: tuple, dtype) -> None:
+    if arr.shape != shape or arr.dtype != dtype:
+        raise ShapeError(f"{name}: expected {shape} {np.dtype(dtype)}, "
+                         f"got {arr.shape} {arr.dtype}")
+
+
+def _tap_range(k: int, size: int, out_size: int, stride: int, padding: int) -> tuple[int, int]:
+    """Outputs [lo, hi) whose kernel tap k reads inside the unpadded input."""
+    lo = min(out_size, max(0, -((k - padding) // stride)))
+    hi = min(out_size, (size - 1 + padding - k) // stride + 1)
+    return lo, max(lo, hi)
+
+
+def im2col_batch(x: np.ndarray, m: int, n: int, stride: int, padding: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Unroll receptive fields of a channel-major batch [C, B, H, W] into [C*M*N, B*P].
 
     Row order is (c, m, n) row-major; column order is batch-major, then output
     position row-major, so weights.reshape(K, C*M*N) @ cols is the convolution,
-    already channel-major as [K, B, H', W'].
+    already channel-major as [K, B, H', W'].  Each tap is copied straight from
+    x and only the strips that fall on the zero padding are zeroed, so no
+    padded copy of x is made.  ``out`` is an optional [C, M, N, B, H', W']
+    array to fill instead of a new one (a batch slice of a larger buffer
+    works); the result is then a view of it.
     """
     c, b, h, w = x.shape
     h_out = _conv_out_size(h, m, stride, padding)
     w_out = _conv_out_size(w, n, stride, padding)
-    xpad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((c, m, n, b, h_out, w_out), dtype=x.dtype)
+    shape = (c, m, n, b, h_out, w_out)
+    if out is None:
+        out = np.empty(shape, dtype=x.dtype)
+    _check_scratch("im2col out", out, shape, x.dtype)
     for mi in range(m):
+        i0, i1 = _tap_range(mi, h, h_out, stride, padding)
         for ni in range(n):
-            cols[:, mi, ni] = xpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                                   ni:ni + (w_out - 1) * stride + 1:stride]
-    return cols.reshape(c * m * n, b * h_out * w_out)
+            j0, j1 = _tap_range(ni, w, w_out, stride, padding)
+            tap = out[:, mi, ni]
+            tap[..., :i0, :] = 0
+            tap[..., i1:, :] = 0
+            tap[..., i0:i1, :j0] = 0
+            tap[..., i0:i1, j1:] = 0
+            if i1 > i0 and j1 > j0:
+                r0 = i0 * stride + mi - padding
+                s0 = j0 * stride + ni - padding
+                tap[..., i0:i1, j0:j1] = x[:, :, r0:r0 + (i1 - i0 - 1) * stride + 1:stride,
+                                           s0:s0 + (j1 - j0 - 1) * stride + 1:stride]
+    return out.reshape(c * m * n, b * h_out * w_out)
 
 
 def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, int, int],
-                 stride: int, padding: int) -> np.ndarray:
+                 stride: int, padding: int, gxpad: np.ndarray | None = None,
+                 u2p: np.ndarray | None = None) -> np.ndarray:
     """Input gradient [C, B, H, W] of a convolution: col2im(weights^T @ u2), fused.
 
     ``u2`` is the output gradient as [K, B*P].  Each kernel tap (m, n), in
-    row-major order, contributes weights[:, :, m, n]^T @ u2 to its shifted
-    window of the padded gradient, so the [C*M*N, B*P] column gradient is
-    never materialised.
+    row-major order, adds weights[:, :, m, n]^T @ u2 to its shifted window of
+    the padded gradient ``gxpad`` [C, B, H+2p, W+2p], so the [C*M*N, B*P]
+    column gradient is never materialised.
+
+    At stride 1 the fold runs ``u2p.shape[1]`` samples at a time (the whole
+    batch when ``u2p`` is None).  It lays each slice of u2 on the padded grid
+    ``u2p`` [K, S, H+2p, W+2p], zero outside the [H', W'] corner, so that a
+    tap's window is one contiguous shifted 1-D range of the flattened gxpad,
+    and one GEMM computes the taps of a kernel row.  Every element receives
+    the same products in the same tap order as the strided fold, plus zeros
+    from the grid's margin, which never change a partial sum: it starts at
+    +0 and so is never -0.  Other strides fold through strided windows.
+    ``gxpad`` and ``u2p`` are optional scratch arrays whose contents are
+    overwritten; the result is a view of gxpad.
     """
     c, b, h, w = x_shape
-    _, _, m, n = weights.shape
+    k, _, m, n = weights.shape
     h_out = _conv_out_size(h, m, stride, padding)
     w_out = _conv_out_size(w, n, stride, padding)
-    gxpad = np.zeros((c, b, h + 2 * padding, w + 2 * padding),
-                     dtype=np.result_type(weights, u2))
-    for mi in range(m):
-        for ni in range(n):
-            tap = weights[:, :, mi, ni].T @ u2
-            gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                  ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
-    if padding:
-        return gxpad[:, :, padding:h + padding, padding:w + padding]
-    return gxpad
+    hp, wp = h + 2 * padding, w + 2 * padding
+    dtype = np.result_type(weights, u2)
+    if gxpad is None:
+        gxpad = np.empty((c, b, hp, wp), dtype=dtype)
+    _check_scratch("col2im gxpad", gxpad, (c, b, hp, wp), dtype)
+    if stride == 1:
+        if u2p is None:
+            u2p = np.empty((k, b, hp, wp), dtype=u2.dtype)
+        chunk = u2p.shape[1]
+        _check_scratch("col2im u2p", u2p, (k, chunk, hp, wp), u2.dtype)
+        u2p[:, :, h_out:] = 0
+        u2p[:, :, :h_out, w_out:] = 0
+        grid = u2.reshape(k, b, h_out, w_out)
+        flat = gxpad.reshape(c, b * hp * wp)
+        w_rows = weights.transpose(2, 3, 1, 0).reshape(m, n * c, k)   # one GEMM per kernel row
+        for lo in range(0, b, chunk):
+            rows = min(chunk, b - lo)
+            u2p[:, :rows, :h_out, :w_out] = grid[:, lo:lo + rows]
+            src = u2p[:, :rows].reshape(k, -1)
+            size = rows * hp * wp
+            part = flat[:, lo * hp * wp:lo * hp * wp + size]
+            part[...] = 0
+            for mi in range(m):
+                taps = (w_rows[mi] @ src).reshape(n, c, size)
+                for ni in range(n):
+                    shift = mi * wp + ni
+                    part[:, shift:] += taps[ni, :, :size - shift]
+    else:
+        gxpad[...] = 0
+        for mi in range(m):
+            for ni in range(n):
+                tap = weights[:, :, mi, ni].T @ u2
+                gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
+                      ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
+    return gxpad[:, :, padding:h + padding, padding:w + padding]
 
 
 def conv2d_fast(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,

@@ -18,7 +18,7 @@ from .datagen import Sample
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
 from .evaluate import EVAL_CHUNK, loss_and_predictions, stack_dataset  # noqa: F401
 from .losses import softmax_ce_batch
-from .model import DEFAULT_ARCH, Architecture, MultiOutputModel
+from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
 from .optim import AdamState, adam_step
 from .rng import Rng
 
@@ -74,10 +74,14 @@ def _clone_model(model: MultiOutputModel) -> MultiOutputModel:
 
 
 def batch_loss_and_grads(model: MultiOutputModel, images: np.ndarray,
-                         base_labels: np.ndarray, exp_labels: np.ndarray):
-    """Mean combined loss over the batch plus mean parameter gradients."""
+                         base_labels: np.ndarray, exp_labels: np.ndarray,
+                         workspace: Workspace | None = None):
+    """Mean combined loss over the batch plus mean parameter gradients.
+
+    The passes keep their scratch arrays in ``workspace`` when one is given.
+    """
     b = images.shape[0]
-    base_logits, exp_logits, trace = model.forward_batch(images)
+    base_logits, exp_logits, trace = model.forward_batch(images, workspace=workspace)
     base_losses, g_base = softmax_ce_batch(base_logits, base_labels)
     exp_losses, g_exp = softmax_ce_batch(exp_logits, exp_labels)
     grads = model.backward_batch(trace, (g_base / b).astype(images.dtype),
@@ -86,10 +90,12 @@ def batch_loss_and_grads(model: MultiOutputModel, images: np.ndarray,
 
 
 def validation_metrics(model: MultiOutputModel, images: np.ndarray,
-                       base_labels: np.ndarray, exp_labels: np.ndarray):
+                       base_labels: np.ndarray, exp_labels: np.ndarray,
+                       workspace: Workspace | None = None):
     """(mean total loss, base accuracy, exp accuracy) over a fixed set."""
     n = images.shape[0]
-    loss_sum, base_pred, exp_pred = loss_and_predictions(model, images, base_labels, exp_labels)
+    loss_sum, base_pred, exp_pred = loss_and_predictions(model, images, base_labels, exp_labels,
+                                                         workspace)
     return (loss_sum / n, int((base_pred == base_labels).sum()) / n,
             int((exp_pred == exp_labels).sum()) / n)
 
@@ -130,6 +136,7 @@ def train(dataset: list[Sample], config: TrainConfig,
     else:
         adam = initial_adam
 
+    workspace = Workspace()   # scratch of the steps and validation, freed on return
     history: list[EpochRecord] = []
     best_model = _clone_model(model)
     best_val = np.inf
@@ -143,7 +150,7 @@ def train(dataset: list[Sample], config: TrainConfig,
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo:lo + config.batch_size]
             b_loss, e_loss, grads = batch_loss_and_grads(
-                model, images[idx], base_labels[idx], exp_labels[idx])
+                model, images[idx], base_labels[idx], exp_labels[idx], workspace=workspace)
             adam_step(params, grads, adam)
             base_sum += b_loss * len(idx)
             exp_sum += e_loss * len(idx)
@@ -151,7 +158,7 @@ def train(dataset: list[Sample], config: TrainConfig,
         train_base = base_sum / len(order)
         train_exp = exp_sum / len(order)
         val_total, val_base_acc, val_exp_acc = validation_metrics(
-            model, val_images, val_base, val_exp)
+            model, val_images, val_base, val_exp, workspace)
         history.append(EpochRecord(epoch, train_base + train_exp, train_base,
                                    train_exp, val_total, val_base_acc, val_exp_acc))
 

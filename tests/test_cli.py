@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from expnet import model as model_module
+from expnet.checkpoint import read_checkpoint
 from expnet.cli import cli_main
 from expnet.dataio import read_dataset
+from expnet.losses import softmax
 
 
 def test_generate_then_hist_conserves_counts(tmp_path, capsys):
@@ -65,6 +68,34 @@ def test_train_eval_predict_flow(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "predicted:" in out and "^" in out
     assert cli_main(["predict", "--model", model, "--data", data, "--index", "99"]) == 1
+
+
+def test_predict_runs_the_untraced_forward(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "d.bin")
+    ckpt = str(tmp_path / "m.ckpt")
+    cli_main(["generate", "--count", "12", "--seed", "6", "--out", data])
+    cli_main(["train", "--data", data, "--out", ckpt, "--epochs", "1", "--seed", "6"])
+    capsys.readouterr()
+    # the lines predict printed when it ran the traced single-image forward
+    net, _ = read_checkpoint(ckpt)
+    samples, header = read_dataset(data)
+    sample = samples[3]
+    base_logits, exp_logits, _ = model_module.model_forward(net, sample.image)
+    base_probs, exp_probs = softmax(base_logits), softmax(exp_logits)
+    b0, e0 = header.base_range[0], header.exp_range[0]
+    expected = "\n".join([
+        f"predicted: {b0 + int(np.argmax(base_probs))}^{e0 + int(np.argmax(exp_probs))}"
+        f"   (true: {b0 + sample.base_label}^{e0 + sample.exp_label})",
+        "base probabilities: " + " ".join(f"{b0 + i}:{p:.3f}" for i, p in enumerate(base_probs)),
+        "exp probabilities:  " + " ".join(f"{e0 + i}:{p:.3f}" for i, p in enumerate(exp_probs)),
+    ]) + "\n"
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("predict built a ForwardTrace")
+
+    monkeypatch.setattr(model_module, "ForwardTrace", no_trace)
+    assert cli_main(["predict", "--model", ckpt, "--data", data, "--index", "3"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_sweep_csv(tmp_path):

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expnet.errors import ShapeError
+from expnet.errors import ShapeError, StaleTraceError
 from expnet.layers import conv_forward_batch, dense_forward_batch, relu_forward
 from expnet.layers import _pool_offsets_batch
 from expnet.model import (DEFAULT_ARCH, TINY_ARCH, TRUNK_CHUNK, Architecture,
-                          MultiOutputModel, model_backward, model_forward)
+                          MultiOutputModel, Workspace, model_backward, model_forward)
 from expnet.rng import Rng
+from expnet.train import batch_loss_and_grads
 
 
 def test_default_architecture_shape_chain():
@@ -59,7 +60,8 @@ def test_forward_logit_shapes_and_trace():
 
 def test_forward_batch_matches_per_sample():
     m = MultiOutputModel.init(TINY_ARCH, 2)
-    # the untraced trunk runs in TRUNK_CHUNK slices, the traced one in one pass
+    # both passes run the trunk in TRUNK_CHUNK slices; the traced one writes
+    # them into whole-batch arrays
     for n in (3, 2 * TRUNK_CHUNK + 3):
         imgs = Rng(n).uniforms(n * 16 * 16).reshape(n, 1, 16, 16).astype(np.float32)
         base, exp, _ = m.forward_batch(imgs)
@@ -81,6 +83,81 @@ def test_untraced_forward_memory_is_bounded_by_the_trunk_slice():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
+
+
+def _batch(n, seed, dtype=np.float32):
+    imgs = Rng(seed).uniforms(n * 64 * 64).reshape(n, 1, 64, 64).astype(dtype)
+    return imgs, np.arange(n) % 8, (np.arange(n) * 7) % 10
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_workspace_contents_never_leak_into_a_step():
+    m = MultiOutputModel.init(DEFAULT_ARCH, 11)
+    ws = Workspace()
+    for seed in (1, 2):
+        batch = _batch(32, seed)
+        losses_ws = batch_loss_and_grads(m, *batch, workspace=ws)
+        losses = batch_loss_and_grads(m, *batch)
+        assert losses_ws[:2] == losses[:2]
+        assert all(_same_bytes(a, b) for a, b in zip(losses_ws[2], losses[2]))
+        for buf in ws.buffers.values():        # what the next step finds in the workspace
+            buf.fill(np.nan)
+    assert {name for name, _ in ws.buffers} == {"conv0.cols", "conv1.cols", "conv1.gxpad",
+                                                "conv1.u2p"}
+
+
+def test_one_workspace_serves_any_batch_size_and_dtype():
+    m = MultiOutputModel.init(DEFAULT_ARCH, 12)
+    ws = Workspace()
+    for n, dtype in ((32, np.float32), (17, np.float32), (2 * TRUNK_CHUNK + 3, np.float32),
+                     (5, np.float64), (32, np.float32)):
+        net = m.astype(dtype)
+        imgs, base, exp = _batch(n, n, dtype)
+        got = batch_loss_and_grads(net, imgs, base, exp, workspace=ws)
+        want = batch_loss_and_grads(net, imgs, base, exp)
+        assert got[:2] == want[:2]
+        assert all(_same_bytes(a, b) for a, b in zip(got[2], want[2]))
+        traced = net.forward_batch(imgs, workspace=ws)
+        untraced = net.forward_batch(imgs, need_trace=False, workspace=ws)
+        assert np.array_equal(traced[0], untraced[0]) and np.array_equal(traced[1], untraced[1])
+
+
+def test_stale_trace_raises_instead_of_wrong_gradients():
+    m = MultiOutputModel.init(TINY_ARCH, 13)
+    ws = Workspace()
+    imgs = Rng(13).uniforms(3 * 16 * 16).reshape(3, 1, 16, 16).astype(np.float32)
+    g_base, g_exp = np.ones((3, 8), np.float32), np.ones((3, 10), np.float32)
+    _, _, first = m.forward_batch(imgs, workspace=ws)
+    _, _, second = m.forward_batch(imgs[::-1].copy(), workspace=ws)
+    with pytest.raises(StaleTraceError, match="forward 1 .* forward 2"):
+        m.backward_batch(first, g_base, g_exp)
+    m.backward_batch(second, g_base, g_exp)
+    m.forward_batch(imgs, need_trace=False, workspace=ws)      # reuses the columns too
+    with pytest.raises(StaleTraceError, match="forward 2 .* forward 3"):
+        m.backward_batch(second, g_base, g_exp)
+    # traces without a workspace own their arrays and stay valid
+    _, _, own = m.forward_batch(imgs)
+    m.forward_batch(imgs, workspace=ws)
+    m.backward_batch(own, g_base, g_exp)
+
+
+def test_warm_workspace_bounds_the_traced_step_memory():
+    # the step used to allocate 83.1 MB afresh, most of it the two im2col
+    # matrices and the padded input gradient
+    m = MultiOutputModel.init(DEFAULT_ARCH, 14)
+    batch = _batch(32, 14)
+    ws = Workspace()
+    batch_loss_and_grads(m, *batch, workspace=ws)
+    tracemalloc.start()
+    try:
+        batch_loss_and_grads(m, *batch, workspace=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_zero_image_zero_heads_give_zero_logits():

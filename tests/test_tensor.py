@@ -81,28 +81,58 @@ def col2im_reference(cols, x_shape, m, n, stride, padding):
     return gx[:, :, padding:padding + h, padding:padding + w]
 
 
+def strided_fold_reference(weights, u2, x_shape, stride, padding):
+    """col2im_batch's tap-by-tap fold through strided windows of a zeroed gxpad."""
+    c, b, h, w = x_shape
+    _, _, m, n = weights.shape
+    h_out = (h + 2 * padding - m) // stride + 1
+    w_out = (w + 2 * padding - n) // stride + 1
+    gxpad = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=u2.dtype)
+    for mi in range(m):
+        for ni in range(n):
+            tap = weights[:, :, mi, ni].T @ u2
+            gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
+                  ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
+    return gxpad[:, :, padding:padding + h, padding:padding + w]
+
+
 def test_fused_col2im_matches_explicit_column_gradient():
-    # col2im_batch folds weights^T @ u2 tap by tap; the reference builds the
-    # [C*M*N, B*P] column gradient first and folds it with loops
-    for seed, (c, b, h, w, k, m, stride, pad) in enumerate(
-            [(3, 2, 6, 5, 4, 3, 1, 1), (2, 3, 7, 7, 5, 3, 2, 1), (4, 1, 5, 6, 3, 2, 1, 0)]):
+    # col2im_batch folds weights^T @ u2 tap by tap, at stride 1 on the padded
+    # grid in slices of u2p.shape[1] samples, into scratch arrays that start
+    # out full of garbage; it gives the strided fold's bits, and the reference
+    # that builds the [C*M*N, B*P] column gradient first and folds it with
+    # loops agrees within rounding
+    cases = [(3, 2, 6, 5, 4, 3, 3, 1, 1), (2, 3, 7, 7, 5, 3, 3, 2, 1), (4, 1, 5, 6, 3, 2, 2, 1, 0),
+             (3, 5, 6, 7, 4, 3, 3, 1, 0), (2, 4, 5, 5, 3, 3, 2, 1, 2), (4, 7, 8, 6, 5, 2, 3, 1, 1)]
+    for seed, (c, b, h, w, k, m, n, stride, pad) in enumerate(cases):
         rng = Rng(50 + seed)
         x_shape = (c, b, h, w)
-        weights = rng.uniforms(k * c * m * m, -1, 1).reshape(k, c, m, m).astype(np.float32)
+        weights = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
         h_out = (h + 2 * pad - m) // stride + 1
-        w_out = (w + 2 * pad - m) // stride + 1
+        w_out = (w + 2 * pad - n) // stride + 1
         u2 = rng.uniforms(k * b * h_out * w_out, -1, 1).reshape(k, -1).astype(np.float32)
+        u2[:, ::3] = 0.0
+        u2[:, 1::5] = -0.0                     # signed zeros, as the pool backward routes them
+        strided = strided_fold_reference(weights, u2, x_shape, stride, pad)
+        grid = (h + 2 * pad, w + 2 * pad)
+        for chunk in (1, 2, b):
+            gxpad = np.full((c, b, *grid), np.nan, dtype=np.float32)
+            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32) if stride == 1 else None
+            fused = col2im_batch(weights, u2, x_shape, stride, pad, gxpad=gxpad, u2p=u2p)
+            assert fused.shape == x_shape and np.shares_memory(fused, gxpad)
+            assert np.array_equal(fused.view(np.uint32), strided.view(np.uint32))
         fused = col2im_batch(weights, u2, x_shape, stride, pad)
         assert fused.shape == x_shape and fused.dtype == np.float32
-        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, m, stride, pad)
+        assert np.array_equal(fused.view(np.uint32), strided.view(np.uint32))
+        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, n, stride, pad)
         assert np.max(np.abs(fused - ref)) < 1e-6
         # and it is the adjoint of im2col_batch: <im2col(x), G> == <x, col2im(G)>
         x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
-        cols = im2col_batch(x, m, m, stride, pad)
-        g = weights.reshape(k, -1).T.astype(np.float64) @ u2.astype(np.float64)
-        lhs = float((cols * g).sum())
-        rhs = float((x * col2im_batch(weights.astype(np.float64), u2.astype(np.float64),
-                                      x_shape, stride, pad)).sum())
+        cols = im2col_batch(x, m, n, stride, pad)
+        w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
+        lhs = float((cols * (w64.reshape(k, -1).T @ u64)).sum())
+        u2p = np.empty((k, 2, *grid)) if stride == 1 else None
+        rhs = float((x * col2im_batch(w64, u64, x_shape, stride, pad, u2p=u2p)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -138,3 +168,24 @@ def test_conv_fast_matches_naive_random_shapes():
         assert fast.shape == naive.shape
         assert np.max(np.abs(fast - naive)) < 1e-5
         assert np.all(np.isfinite(fast))
+
+
+def test_im2col_fills_a_given_array_in_place():
+    # border strips are zeroed, not left from the previous user, and the
+    # columns can be a batch slice of a larger buffer
+    for seed, (c, b, h, w, m, n, stride, pad) in enumerate(
+            [(2, 3, 5, 6, 3, 3, 1, 0), (2, 3, 5, 6, 3, 3, 1, 1), (1, 2, 4, 4, 3, 2, 1, 2),
+             (3, 2, 7, 6, 3, 3, 2, 1), (1, 1, 2, 2, 1, 1, 1, 2)]):
+        x = Rng(90 + seed).uniforms(c * b * h * w, -1, 1).reshape(c, b, h, w).astype(np.float32)
+        fresh = im2col_batch(x, m, n, stride, pad)
+        h_out = (h + 2 * pad - m) // stride + 1
+        w_out = (w + 2 * pad - n) // stride + 1
+        out = np.full((c, m, n, b, h_out, w_out), np.nan, dtype=np.float32)
+        cols = im2col_batch(x, m, n, stride, pad, out=out)
+        assert np.array_equal(cols, fresh) and np.shares_memory(cols, out)
+        wide = np.full((c, m, n, b + 3, h_out, w_out), 7.0, dtype=np.float32)
+        cols = im2col_batch(x, m, n, stride, pad, out=wide[:, :, :, 2:2 + b])
+        assert np.array_equal(cols, fresh) and np.shares_memory(cols, wide)
+        assert np.all(wide[:, :, :, :2] == 7.0) and np.all(wide[:, :, :, 2 + b:] == 7.0)
+    with pytest.raises(ShapeError, match="im2col out"):
+        im2col_batch(x, 1, 1, 1, 0, out=np.empty((1, 1, 1, 1, 2, 3), dtype=np.float32))
