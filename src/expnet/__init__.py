@@ -4,19 +4,18 @@ from .datagen import GenConfig, Sample, add_gaussian_noise, gaussian_blur, gener
 from .errors import (ArchitectureMismatchError, BadMagicError, ExpnetError, FileFormatError,
                      LayoutError, ShapeError, StaleTraceError, TruncatedFileError,
                      VersionMismatchError)
-from .losses import LossBreakdown, combined_loss, softmax, softmax_ce_grad, sparse_ce
+from .losses import softmax
 from .model import (DEFAULT_ARCH, TINY_ARCH, Architecture, ForwardTrace, MultiOutputModel,
-                    Workspace, model_backward, model_forward)
+                    Workspace, model_forward)
 from .optim import AdamState, adam_step
 from .rng import Rng
-from .tensor import conv2d_fast, conv2d_naive
+from .tensor import conv2d_naive
 
 __all__ = [
     "AdamState", "Architecture", "ArchitectureMismatchError", "BadMagicError",
     "DEFAULT_ARCH", "ExpnetError", "FileFormatError", "ForwardTrace", "GenConfig",
-    "LayoutError", "LossBreakdown", "MultiOutputModel", "Rng", "Sample", "ShapeError",
-    "StaleTraceError", "TINY_ARCH", "TruncatedFileError", "VersionMismatchError", "Workspace",
-    "adam_step", "add_gaussian_noise", "combined_loss", "conv2d_fast", "conv2d_naive",
-    "gaussian_blur", "generate_dataset", "model_backward", "model_forward",
-    "render_expression", "softmax", "softmax_ce_grad", "sparse_ce",
+    "LayoutError", "MultiOutputModel", "Rng", "Sample", "ShapeError", "StaleTraceError",
+    "TINY_ARCH", "TruncatedFileError", "VersionMismatchError", "Workspace", "adam_step",
+    "add_gaussian_noise", "conv2d_naive", "gaussian_blur", "generate_dataset",
+    "model_forward", "render_expression", "softmax",
 ]

@@ -74,8 +74,13 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
     version = reader.u32()
     if version != VERSION:
         raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {VERSION}")
-    descriptor = reader.take(reader.u32()).decode()
-    arch = Architecture.from_text(descriptor)
+    descriptor = reader.take(reader.u32())
+    try:
+        text = descriptor.decode()
+    except UnicodeDecodeError as exc:
+        raise ArchitectureMismatchError(f"{path}: architecture descriptor is not UTF-8: "
+                                        f"{exc}") from exc
+    arch = Architecture.from_text(text)
     if expect_arch is not None and arch != expect_arch:
         raise ArchitectureMismatchError(
             f"{path}: checkpoint architecture does not match the target model:\n"

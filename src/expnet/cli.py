@@ -14,6 +14,7 @@ from .errors import ExpnetError
 from .evaluate import evaluate, histogram, robustness_sweep
 from .gradcheck import build_probe, gradient_check
 from .losses import softmax
+from .model import model_forward
 from .train import TrainConfig, history_csv, train
 
 
@@ -182,9 +183,9 @@ def _cmd_predict(args) -> int:
               file=sys.stderr)
         return 1
     sample = samples[args.index]
-    base_logits, exp_logits, _ = model.forward_batch(sample.image[None], need_trace=False)
-    base_probs = softmax(base_logits[0])
-    exp_probs = softmax(exp_logits[0])
+    base_logits, exp_logits, _ = model_forward(model, sample.image)
+    base_probs = softmax(base_logits)
+    exp_probs = softmax(exp_logits)
     pred_base = header.base_range[0] + int(np.argmax(base_probs))
     pred_exp = header.exp_range[0] + int(np.argmax(exp_probs))
     true_base = header.base_range[0] + sample.base_label

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import combined_loss, softmax_ce_grad
-from .model import MultiOutputModel, model_backward, model_forward
+from .losses import softmax_ce_batch
+from .model import MultiOutputModel
+from .train import batch_loss_and_grads
 
 DENOM_FLOOR = 1e-8
 
@@ -53,22 +54,25 @@ class GradCheckReport:
 
 def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
                       base_label: int, exp_label: int) -> tuple[float, bytes]:
-    base_logits, exp_logits, trace = model_forward(model, image)
-    loss = combined_loss(base_logits, exp_logits, base_label, exp_label).total
+    base_logits, exp_logits, trace = model.forward_batch(image[None])
+    base_loss, _ = softmax_ce_batch(base_logits, np.array([base_label]))
+    exp_loss, _ = softmax_ce_batch(exp_logits, np.array([exp_label]))
     # a dead window's offset is not a kink: its output is 0 whichever cell wins
     live_offsets = [np.where(mask, off, 0) for mask, off in zip(trace.relu_masks,
                                                                 trace.pool_offsets)]
     pattern = (*trace.relu_masks, *live_offsets, trace.dense_mask)
-    return loss, b"".join(a.tobytes() for a in pattern)
+    return float(base_loss[0] + exp_loss[0]), b"".join(a.tobytes() for a in pattern)
 
 
 def analytic_gradients(model: MultiOutputModel, image: np.ndarray,
                        base_label: int, exp_label: int) -> list[np.ndarray]:
-    """Backprop gradients of the combined loss wrt every parameter tensor."""
-    base_logits, exp_logits, trace = model_forward(model, image)
-    g_base = softmax_ce_grad(base_logits, base_label)
-    g_exp = softmax_ce_grad(exp_logits, exp_label)
-    return model_backward(model, trace, g_base, g_exp)
+    """Backprop gradients of the combined loss wrt every parameter tensor.
+
+    They come from the training step itself, at a batch of one.
+    """
+    _, _, grads = batch_loss_and_grads(model, image[None], np.array([base_label]),
+                                       np.array([exp_label]))
+    return grads
 
 
 def gradient_check(model: MultiOutputModel, image: np.ndarray, base_label: int,
@@ -104,7 +108,7 @@ def gradient_check(model: MultiOutputModel, image: np.ndarray, base_label: int,
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(a[i]), abs(numeric), DENOM_FLOOR)
             max_rel = max(max_rel, abs(a[i] - numeric) / denom)
-        rows.append(GradCheckRow(name, max_rel, flat.size - excluded, excluded,
+        rows.append(GradCheckRow(name, float(max_rel), flat.size - excluded, excluded,
                                  max_rel < tolerance))
     return GradCheckReport(rows, tolerance)
 

@@ -1,26 +1,19 @@
-"""Softmax, sparse cross-entropy, and the combined two-head loss.
+"""Softmax and the batched sparse cross-entropy that training and evaluation run.
 
-Probabilities are computed in 64-bit with max-subtraction for stability and
-cast back to the input dtype; the log argument is clamped at 1e-12 so a zero
-probability yields a large finite loss instead of -inf.
+The combined two-head loss is the sum of ``softmax_ce_batch`` over the base
+and the exponent logits.  Probabilities are computed in 64-bit with
+max-subtraction for stability and cast back to the input dtype; the log
+argument is clamped at 1e-12 so a zero probability yields a large finite loss
+instead of -inf.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 
 PROB_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    base_loss: float
-    exp_loss: float
-    total: float
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -35,39 +28,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=-1, keepdims=True)).astype(logits.dtype)
 
 
-def sparse_ce(probabilities: np.ndarray, true_class: int) -> float:
-    """-log p[true_class] with the probability clamped at 1e-12."""
-    if not 0 <= true_class < probabilities.shape[-1]:
-        raise IndexError(
-            f"class {true_class} out of range for {probabilities.shape[-1]} classes")
-    return float(-np.log(max(float(probabilities[true_class]), PROB_CLAMP)))
-
-
-def softmax_ce_grad(logits: np.ndarray, true_class: int) -> np.ndarray:
-    """Gradient of sparse_ce(softmax(logits)) wrt logits: p - onehot."""
-    if not 0 <= true_class < logits.shape[-1]:
-        raise IndexError(f"class {true_class} out of range for {logits.shape[-1]} classes")
-    grad = softmax(logits).copy()
-    grad[true_class] -= 1
-    return grad
-
-
-def combined_loss(base_logits: np.ndarray, exp_logits: np.ndarray,
-                  base_label: int, exp_label: int,
-                  weights: tuple[float, float] = (1.0, 1.0)) -> LossBreakdown:
-    """Weighted sum of the two heads' cross-entropies (default unit weights)."""
-    base_loss = sparse_ce(softmax(base_logits), base_label)
-    exp_loss = sparse_ce(softmax(exp_logits), exp_label)
-    w_b, w_e = weights
-    return LossBreakdown(base_loss, exp_loss, w_b * base_loss + w_e * exp_loss)
-
-
-# --- batched helpers for the training loop ---
-
 def softmax_ce_batch(logits: np.ndarray, labels: np.ndarray):
     """Per-row (loss, grad) for a batch: [B, C] logits, [B] integer labels.
 
-    Gradients are per-sample (not averaged); the caller decides the reduction.
+    loss[i] = -log p[labels[i]] and grad[i] = p - onehot(labels[i]), its
+    gradient wrt the logits, where p = softmax(logits[i]).  Gradients are
+    per-sample (not averaged); the caller decides the reduction.
     """
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(f"batch shapes inconsistent: {logits.shape} vs {labels.shape}")

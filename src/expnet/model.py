@@ -103,12 +103,17 @@ class Architecture:
 
     @classmethod
     def from_text(cls, text: str) -> "Architecture":
-        fields: dict[str, list[str]] = {}
-        for line in text.strip().splitlines():
-            parts = line.split()
-            fields[parts[0]] = parts[1:]
+        """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
+
+        Every size, kernel, stride and pool field must be positive, the
+        padding non-negative, and each stage must leave a non-empty map.
+        """
         try:
-            return cls(
+            fields = {}
+            for line in text.strip().splitlines():
+                parts = line.split()
+                fields[parts[0]] = parts[1:]
+            arch = cls(
                 input_hw=(int(fields["input"][0]), int(fields["input"][1])),
                 conv_channels=tuple(int(c) for c in fields["conv"]),
                 kernel=int(fields["kernel"][0]),
@@ -120,8 +125,17 @@ class Architecture:
                 n_base=int(fields["heads"][0]),
                 n_exp=int(fields["heads"][1]),
             )
+            sizes = (*arch.input_hw, *arch.conv_channels, arch.kernel, arch.conv_stride,
+                     arch.pool_window, arch.pool_stride, arch.dense_width, arch.n_base,
+                     arch.n_exp)
+            if min(sizes) < 1 or arch.conv_padding < 0:
+                raise ValueError("a size, kernel, stride or pool field is not positive, "
+                                 "or the padding is negative")
+            if min(min(shape) for shape in arch.stage_shapes()) < 1:
+                raise ValueError(f"stages {arch.stage_shapes()} leave an empty map")
         except (KeyError, IndexError, ValueError) as exc:
             raise ArchitectureMismatchError(f"unreadable architecture descriptor: {exc}") from exc
+        return arch
 
 
 DEFAULT_ARCH = Architecture()
@@ -359,15 +373,8 @@ class MultiOutputModel:
 
 
 def model_forward(model: MultiOutputModel, image: np.ndarray):
-    """Single image [1, H, W] -> (base logits, exp logits, trace)."""
+    """Single image [1, H, W] -> (base logits, exp logits, None): the untraced predict."""
     if image.ndim != 3:
         raise ShapeError(f"image must be [1, H, W], got rank {image.ndim}")
-    base, exp, trace = model.forward_batch(image[None])
-    return base[0], exp[0], trace
-
-
-def model_backward(model: MultiOutputModel, trace: ForwardTrace,
-                   grad_base: np.ndarray, grad_exp: np.ndarray) -> list[np.ndarray]:
-    if trace.batch != 1:
-        raise ShapeError("trace was recorded for a batch, not a single image")
-    return model.backward_batch(trace, grad_base[None], grad_exp[None])
+    base, exp, _ = model.forward_batch(image[None], need_trace=False)
+    return base[0], exp[0], None

@@ -10,9 +10,8 @@ results unless the caller hands them arrays to fill (``out``, ``gxpad``,
 earlier contents are overwritten.
 
 ``conv2d_naive`` evaluates the convolution sum directly with explicit loops
-and is the oracle.  ``conv2d_fast`` runs a single map through
-``im2col_batch`` and a GEMM; only tests call it, while the model convolves
-through ``layers.conv_forward_batch``.
+and is the oracle for ``layers.conv_forward_batch``, the im2col + GEMM
+convolution the model runs.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ def _check_conv_args(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 def conv2d_naive(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                  stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Direct evaluation of the convolution sum; the oracle for conv2d_fast.
+    """Direct evaluation of the convolution sum; the oracle for conv_forward_batch.
 
     z[k, i, j] = sum_{c,m,n} x[c, i*stride+m-padding, j*stride+n-padding]
                  * w[k, c, m, n] + b[k], out-of-bounds input read as 0.
@@ -182,12 +181,3 @@ def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, i
                       ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
     return gxpad[:, :, padding:h + padding, padding:w + padding]
 
-
-def conv2d_fast(input: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                stride: int = 1, padding: int = 0) -> np.ndarray:
-    """im2col + GEMM convolution; same contract as conv2d_naive."""
-    h_out, w_out = _check_conv_args(input, weights, bias, stride, padding)
-    k = weights.shape[0]
-    cols = im2col_batch(input[:, None], *weights.shape[2:], stride, padding)
-    out = weights.reshape(k, -1) @ cols + bias[:, None].astype(input.dtype)
-    return out.reshape(k, h_out, w_out)

@@ -16,10 +16,11 @@ from expnet.dataio import read_dataset, write_dataset
 from expnet.datagen import GenConfig, generate_dataset
 from expnet.evaluate import evaluate, histogram, robustness_sweep
 from expnet.gradcheck import build_probe, gradient_check
-from expnet.losses import combined_loss, softmax
+from expnet.layers import ConvLayer, conv_forward_batch
+from expnet.losses import softmax, softmax_ce_batch
 from expnet.model import TINY_ARCH, Architecture, MultiOutputModel
 from expnet.rng import Rng
-from expnet.tensor import conv2d_fast, conv2d_naive
+from expnet.tensor import conv2d_naive
 from expnet.train import TrainConfig, history_csv, train
 
 DESK_SEED = 42
@@ -97,8 +98,8 @@ def test_criterion_2_conv_oracle_equivalence():
         x = rng.uniforms(c * h * w_dim, -1, 1).reshape(c, h, w_dim).astype(np.float32)
         wt = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
         b = rng.uniforms(k, -1, 1).astype(np.float32)
-        diff = np.max(np.abs(conv2d_fast(x, wt, b, stride, pad)
-                             - conv2d_naive(x, wt, b, stride, pad)))
+        fast, _ = conv_forward_batch(ConvLayer(wt, b, stride, pad), x[:, None])
+        diff = np.max(np.abs(fast[:, 0] - conv2d_naive(x, wt, b, stride, pad)))
         worst = max(worst, float(diff))
     elapsed = time.time() - t0
     report("criterion 2 (conv oracle equivalence)",
@@ -114,14 +115,16 @@ def test_criterion_3_analytic_loss_identities():
         v = rng.uniforms(2 + i % 11, -scale, scale).astype(np.float32)
         p = softmax(v)
         worst_sum = max(worst_sum, abs(float(np.sum(p, dtype=np.float64)) - 1.0))
-    uniform = combined_loss(np.zeros(8, dtype=np.float32),
-                            np.zeros(10, dtype=np.float32), 0, 0)
+    zero = np.zeros(1, dtype=np.int64)
+    base_loss, _ = softmax_ce_batch(np.zeros((1, 8), dtype=np.float32), zero)
+    exp_loss, _ = softmax_ce_batch(np.zeros((1, 10), dtype=np.float32), zero)
+    uniform = float(base_loss[0] + exp_loss[0])
     expect = math.log(8.0) + math.log(10.0)
-    loss_err = abs(uniform.total - 4.382027)
+    loss_err = abs(uniform - 4.382027)
     report("criterion 3 (analytic loss identities)",
            worst_sum < 1e-6 and loss_err < 1e-4,
            f"max |sum(p)-1| = {worst_sum:.2e} < 1e-6; uniform loss "
-           f"{uniform.total:.6f} vs ln8+ln10 = {expect:.6f} (err {loss_err:.2e})")
+           f"{uniform:.6f} vs ln8+ln10 = {expect:.6f} (err {loss_err:.2e})")
 
 
 @pytest.mark.slow

@@ -54,3 +54,5 @@ def test_csv_report_shape():
     assert lines[0] == "parameter,max_rel_err,status,checked,excluded"
     assert len(lines) == 1 + len(model.parameters())
     assert all(line.split(",")[2] == "pass" for line in lines[1:])
+    for line, row in zip(lines[1:], report.rows):
+        assert float(line.split(",")[1]) == row.max_rel_err

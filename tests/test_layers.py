@@ -7,7 +7,6 @@ from expnet.layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
                            dense_backward_batch, dense_forward_batch, relu_forward)
 from expnet.model import TINY_ARCH, MultiOutputModel
 from expnet.rng import Rng
-from expnet.tensor import conv2d_fast
 
 
 def central_diff(f, x, eps=1e-6):
@@ -208,7 +207,7 @@ def test_conv_backward_matches_finite_difference():
     up = rng.uniforms(3 * 6 * 6, -1, 1).reshape(3, 6, 6)
 
     def loss(wv, bv, xv):
-        return float((conv2d_fast(xv[:, 0], wv, bv, 1, 1) * up).sum())
+        return float((conv_forward_batch(ConvLayer(wv, bv, 1, 1), xv)[0][:, 0] * up).sum())
 
     gw, gb, gx = conv_grads(ConvLayer(w, b, 1, 1), x, up[:, None])
     assert gx.shape == x.shape
@@ -229,8 +228,8 @@ def test_batched_conv_matches_per_sample():
     out, cache = conv_forward_batch(layer, xs)          # channel-major: sample i is [:, i]
     assert out.shape == (3, 4, 5, 5)
     for i in range(4):
-        single = conv2d_fast(xs[:, i], w, b, 1, 1)
-        assert np.allclose(out[:, i], single, atol=1e-6)
+        single, _ = conv_forward_batch(layer, xs[:, i:i + 1])
+        assert np.allclose(out[:, i], single[:, 0], atol=1e-6)
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape).astype(np.float32)
     gw, gb, gx = conv_backward_batch(layer, up, cache)
     gw_sum = np.zeros_like(gw)

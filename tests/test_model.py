@@ -7,7 +7,7 @@ from expnet.errors import ShapeError, StaleTraceError
 from expnet.layers import conv_forward_batch, dense_forward_batch, relu_forward
 from expnet.layers import _pool_offsets_batch
 from expnet.model import (DEFAULT_ARCH, TINY_ARCH, TRUNK_CHUNK, Architecture,
-                          MultiOutputModel, Workspace, model_backward, model_forward)
+                          MultiOutputModel, Workspace, model_forward)
 from expnet.rng import Rng
 from expnet.train import batch_loss_and_grads
 
@@ -42,8 +42,8 @@ def test_default_architecture_shape_chain():
 def test_forward_logit_shapes_and_trace():
     m = MultiOutputModel.init(DEFAULT_ARCH, 1)
     img = Rng(1).uniforms(64 * 64).reshape(1, 64, 64).astype(np.float32)
-    base, exp, trace = model_forward(m, img)
-    assert base.shape == (8,) and exp.shape == (10,)
+    base, exp, trace = m.forward_batch(img[None])
+    assert base.shape == (1, 8) and exp.shape == (1, 10)
     assert trace.batch == 1
     assert len(trace.conv_caches) == len(trace.conv_shapes) == 2
     assert len(trace.relu_masks) == len(trace.pool_offsets) == 2
@@ -56,6 +56,10 @@ def test_forward_logit_shapes_and_trace():
     assert np.array_equal(trace.relu_masks[1].transpose(1, 0, 2, 3).reshape(1, -1),
                           trace.flat > 0)
     assert m.forward_batch(img[None], need_trace=False)[2] is None
+    # model_forward, the single-image predict, is the untraced pass
+    base1, exp1, no_trace = model_forward(m, img)
+    assert no_trace is None
+    assert np.array_equal(base1, base[0]) and np.array_equal(exp1, exp[0])
 
 
 def test_forward_batch_matches_per_sample():
@@ -203,9 +207,9 @@ def test_shape_error_names_layer():
 def test_backward_zero_upstream_gives_zero_grads():
     m = MultiOutputModel.init(TINY_ARCH, 4)
     img = Rng(4).uniforms(16 * 16).reshape(1, 16, 16).astype(np.float32)
-    _, _, trace = model_forward(m, img)
-    grads = model_backward(m, trace, np.zeros(8, dtype=np.float32),
-                           np.zeros(10, dtype=np.float32))
+    _, _, trace = m.forward_batch(img[None])
+    grads = m.backward_batch(trace, np.zeros((1, 8), dtype=np.float32),
+                             np.zeros((1, 10), dtype=np.float32))
     assert all(not g.any() for g in grads)
 
 
@@ -218,12 +222,12 @@ def test_trunk_gradient_additivity():
     zero8 = np.zeros(8, dtype=np.float32)
     zero10 = np.zeros(10, dtype=np.float32)
 
-    _, _, trace = model_forward(m, img)
-    only_base = model_backward(m, trace, g1, zero10)
-    _, _, trace = model_forward(m, img)
-    only_exp = model_backward(m, trace, zero8, g2)
-    _, _, trace = model_forward(m, img)
-    both = model_backward(m, trace, g1, g2)
+    _, _, trace = m.forward_batch(img[None])
+    only_base = m.backward_batch(trace, g1[None], zero10[None])
+    _, _, trace = m.forward_batch(img[None])
+    only_exp = m.backward_batch(trace, zero8[None], g2[None])
+    _, _, trace = m.forward_batch(img[None])
+    both = m.backward_batch(trace, g1[None], g2[None])
     for a, b, c in zip(only_base, only_exp, both):
         assert np.max(np.abs((a + b) - c)) < 1e-6
 
@@ -232,8 +236,8 @@ def test_exp_head_zero_equals_single_head_backprop():
     m = MultiOutputModel.init(TINY_ARCH, 8)
     img = Rng(8).uniforms(16 * 16).reshape(1, 16, 16).astype(np.float32)
     g1 = Rng(9).uniforms(8, -1, 1).astype(np.float32)
-    _, _, trace = model_forward(m, img)
-    grads = model_backward(m, trace, g1, np.zeros(10, dtype=np.float32))
+    _, _, trace = m.forward_batch(img[None])
+    grads = m.backward_batch(trace, g1[None], np.zeros((1, 10), dtype=np.float32))
     names = [name for name, _ in m.parameters()]
     exp_w = grads[names.index("exp_head.weights")]
     exp_b = grads[names.index("exp_head.bias")]

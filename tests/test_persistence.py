@@ -233,6 +233,25 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
         read_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda d: d.replace(b"\nconv", b"\n \nconv"), "unreadable"),
+    (lambda d: b"\xff\xfe" + d, "not UTF-8"),
+    (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"), "not positive"),
+    (lambda d: d.replace(b"pool 2", b"pool 0"), "not positive"),
+    (lambda d: d.replace(b"kernel 3", b"kernel 30"), "empty map"),
+], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input"])
+def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))
+    blob = path.read_bytes()
+    end = 12 + struct.unpack_from("<I", blob, 8)[0]
+    descriptor = corrupt(blob[12:end])
+    assert descriptor != blob[12:end]
+    path.write_bytes(blob[:8] + struct.pack("<I", len(descriptor)) + descriptor + blob[end:])
+    with pytest.raises(ArchitectureMismatchError, match=match):
+        read_checkpoint(str(path))
+
+
 def test_checkpoint_huge_tensor_dims_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 7), str(path))

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from expnet.errors import ShapeError
+from expnet.layers import ConvLayer, conv_forward_batch
 from expnet.rng import Rng
-from expnet.tensor import col2im_batch, conv2d_fast, conv2d_naive, im2col_batch
+from expnet.tensor import col2im_batch, conv2d_naive, im2col_batch
+
+
+def conv2d_batch(x, w, b, stride=1, padding=0):
+    """conv_forward_batch, the model's convolution, on one [C, H, W] map."""
+    out, _ = conv_forward_batch(ConvLayer(w, b, stride, padding), x[:, None])
+    return out[:, 0]
 
 
 def test_conv2d_identity_kernel():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]], dtype=np.float32)
     w = np.ones((1, 1, 1, 1), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    for conv in (conv2d_naive, conv2d_fast):
+    for conv in (conv2d_naive, conv2d_batch):
         assert np.allclose(conv(x, w, b, 1, 0), x)
 
 
@@ -29,7 +36,7 @@ def test_conv2d_zero_weights_give_bias():
     x = rng.uniforms(2 * 5 * 5).reshape(2, 5, 5).astype(np.float32)
     w = np.zeros((3, 2, 3, 3), dtype=np.float32)
     b = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-    for conv in (conv2d_naive, conv2d_fast):
+    for conv in (conv2d_naive, conv2d_batch):
         out = conv(x, w, b, 1, 1)
         for k in range(3):
             assert np.allclose(out[k], b[k])
@@ -39,7 +46,7 @@ def test_conv2d_kernel_too_large():
     x = np.zeros((1, 2, 2), dtype=np.float32)
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     b = np.zeros(1, dtype=np.float32)
-    for conv in (conv2d_naive, conv2d_fast):
+    for conv in (conv2d_naive, conv2d_batch):
         with pytest.raises(ShapeError):
             conv(x, w, b, 1, 0)
 
@@ -143,7 +150,7 @@ def test_conv_fast_matches_naive_randomized():
         x = rng.uniforms(3 * 8 * 8, -1, 1).reshape(3, 8, 8).astype(np.float32)
         w = rng.uniforms(4 * 3 * 3 * 3, -1, 1).reshape(4, 3, 3, 3).astype(np.float32)
         b = rng.uniforms(4, -1, 1).astype(np.float32)
-        fast = conv2d_fast(x, w, b, 1, 1)
+        fast = conv2d_batch(x, w, b, 1, 1)
         naive = conv2d_naive(x, w, b, 1, 1)
         assert np.max(np.abs(fast - naive)) < 1e-5
 
@@ -163,7 +170,7 @@ def test_conv_fast_matches_naive_random_shapes():
         x = rng.uniforms(c * h * w_dim, -1, 1).reshape(c, h, w_dim).astype(np.float32)
         wt = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
         b = rng.uniforms(k, -1, 1).astype(np.float32)
-        fast = conv2d_fast(x, wt, b, stride, pad)
+        fast = conv2d_batch(x, wt, b, stride, pad)
         naive = conv2d_naive(x, wt, b, stride, pad)
         assert fast.shape == naive.shape
         assert np.max(np.abs(fast - naive)) < 1e-5
