@@ -47,66 +47,53 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 # --- Max pooling ---
 
-def _pool_offsets_batch(x: np.ndarray, window: int, stride: int, need_offsets: bool = True):
-    """(pooled values, window-relative offsets uint8) with row-major tie-break.
+def _pool_offsets_batch(x: np.ndarray, need_offsets: bool = True):
+    """(2x2 stride-2 max-pooled values, window-relative offsets uint8), row-major tie-break.
 
-    Pools the last two axes of x (a channel-major [C, B, H, W] batch).  Offset
-    m * window + n names the cell at row m, column n of each window;
+    Pools the last two axes of x (a channel-major [C, B, H, W] batch); an odd
+    trailing row or column belongs to no window and is dropped.  Offset
+    2 * m + n names the cell at row m, column n of each window;
     need_offsets=False returns None for them and skips their work.
     """
     h, w = x.shape[-2:]
-    if window > h or window > w:
-        raise ShapeError(f"pool window {window} larger than input {h}x{w}")
-    h_out = (h - window) // stride + 1
-    w_out = (w - window) // stride + 1
-    if window == 2 and stride == 2 and h % 2 == 0 and w % 2 == 0:
-        # elementwise max tree; strict > keeps the earliest cell on ties
-        a = x[..., 0::2, 0::2]
-        bb = x[..., 0::2, 1::2]
-        cc = x[..., 1::2, 0::2]
-        d = x[..., 1::2, 1::2]
-        m_ab = np.maximum(a, bb)
-        m_cd = np.maximum(cc, d)
-        out = np.maximum(m_ab, m_cd)
-        if not need_offsets:
-            return out, None
-        # off = 2 + (d > cc) where the bottom row's max beats the top row's, else
-        # (bb > a), as uint8 bit operations: with the and-mask 0 the xors give lo
-        lo = (bb > a).view(np.uint8)
-        off = (d > cc).view(np.uint8)
-        off |= 2
-        off ^= lo
-        off &= np.negative((m_cd > m_ab).view(np.uint8))
-        off ^= lo
-        return out, off
-    stack = np.empty((*x.shape[:-2], h_out, w_out, window * window), dtype=x.dtype)
-    for m in range(window):
-        for n in range(window):
-            stack[..., m * window + n] = x[..., m:m + (h_out - 1) * stride + 1:stride,
-                                           n:n + (w_out - 1) * stride + 1:stride]
-    offset = stack.argmax(axis=-1)          # first occurrence wins ties
-    out = np.take_along_axis(stack, offset[..., None], axis=-1)[..., 0]
-    return out, offset.astype(np.uint8) if need_offsets else None
+    if h < 2 or w < 2:
+        raise ShapeError(f"pool window 2 larger than input {h}x{w}")
+    h2, w2 = h // 2 * 2, w // 2 * 2
+    # elementwise max tree; strict > keeps the earliest cell on ties
+    a = x[..., 0:h2:2, 0:w2:2]
+    bb = x[..., 0:h2:2, 1:w2:2]
+    cc = x[..., 1:h2:2, 0:w2:2]
+    d = x[..., 1:h2:2, 1:w2:2]
+    m_ab = np.maximum(a, bb)
+    m_cd = np.maximum(cc, d)
+    out = np.maximum(m_ab, m_cd)
+    if not need_offsets:
+        return out, None
+    # off = 2 + (d > cc) where the bottom row's max beats the top row's, else
+    # (bb > a), as uint8 bit operations: with the and-mask 0 the xors give lo
+    lo = (bb > a).view(np.uint8)
+    off = (d > cc).view(np.uint8)
+    off |= 2
+    off ^= lo
+    off &= np.negative((m_cd > m_ab).view(np.uint8))
+    off ^= lo
+    return out, off
 
 
 def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
-                                 x_shape: tuple, window: int, stride: int) -> np.ndarray:
-    """Route each upstream value to its window's recorded offset; zeros elsewhere."""
-    h_out, w_out = upstream.shape[-2:]
-    if window == stride and x_shape[-2:] == (h_out * window, w_out * window):
-        # windows tile the input exactly: each cell is written once, no zero fill
-        grad = np.empty(x_shape, dtype=upstream.dtype)
-        for m in range(window):
-            for n in range(window):
-                np.multiply(upstream, offsets == m * window + n,
-                            out=grad[..., m::window, n::window])
-        return grad
-    grad = np.zeros(x_shape, dtype=upstream.dtype)
-    for m in range(window):
-        for n in range(window):
-            mask = offsets == m * window + n
-            grad[..., m:m + (h_out - 1) * stride + 1:stride,
-                 n:n + (w_out - 1) * stride + 1:stride] += upstream * mask
+                                 x_shape: tuple) -> np.ndarray:
+    """Route each upstream value to its 2x2 window's recorded offset; zeros elsewhere.
+
+    Windows tile the input, so each pooled cell is written once; an odd
+    trailing row or column, which no window covers, is zeroed.
+    """
+    h2, w2 = 2 * upstream.shape[-2], 2 * upstream.shape[-1]
+    grad = np.empty(x_shape, dtype=upstream.dtype)
+    for m in range(2):
+        for n in range(2):
+            np.multiply(upstream, offsets == 2 * m + n, out=grad[..., m:h2:2, n:w2:2])
+    grad[..., h2:, :] = 0
+    grad[..., :h2, w2:] = 0
     return grad
 
 

@@ -1,11 +1,12 @@
 """Shared-trunk, two-head CNN: architecture description and full passes.
 
-The trunk is conv -> maxpool -> ReLU repeated per conv stage, then flatten and
-one hidden dense + ReLU; two parallel dense heads score the base digit (8-way)
-and the exponent digit (10-way).  Forward passes record a ForwardTrace holding
-exactly the per-layer caches the backward pass needs, so parameters stay
-immutable during a pass and batches can be processed independently.  A
-caller-owned Workspace lets consecutive passes reuse their scratch arrays.
+The trunk is conv -> 2x2 max pool -> ReLU repeated per conv stage, then
+flatten and one hidden dense + ReLU; two parallel dense heads score the base
+digit (8-way) and the exponent digit (10-way).  Forward passes record a
+ForwardTrace holding exactly the per-layer caches the backward pass needs, so
+parameters stay immutable during a pass and batches can be processed
+independently.  A caller-owned Workspace lets consecutive passes reuse their
+scratch arrays.
 """
 
 from __future__ import annotations
@@ -41,29 +42,31 @@ TRUNK_CHUNK = 16
 
 @dataclass(frozen=True)
 class Architecture:
-    """Static shape plan; enough to rebuild a model without other config."""
+    """Static shape plan; enough to rebuild a model without other config.
+
+    Every conv stage is followed by 2x2 max pooling at stride 2, which floors
+    an odd map; it has no fields, and the descriptor's ``pool 2 stride 2``
+    line records it.
+    """
 
     input_hw: tuple[int, int] = (64, 64)
     conv_channels: tuple[int, ...] = (32, 64)
     kernel: int = 3
     conv_stride: int = 1
     conv_padding: int = 1
-    pool_window: int = 2
-    pool_stride: int = 2
     dense_width: int = 128
     n_base: int = N_BASE_CLASSES
     n_exp: int = N_EXP_CLASSES
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
-        """[C, H, W] after the input and after each conv+pool stage."""
+        """[C, H, W] after the input and after each conv + 2x2 pool stage."""
         h, w = self.input_hw
         shapes = [(1, h, w)]
         c = 1
         for k in self.conv_channels:
             h = (h + 2 * self.conv_padding - self.kernel) // self.conv_stride + 1
             w = (w + 2 * self.conv_padding - self.kernel) // self.conv_stride + 1
-            h = (h - self.pool_window) // self.pool_stride + 1
-            w = (w - self.pool_window) // self.pool_stride + 1
+            h, w = h // 2, w // 2
             c = k
             shapes.append((c, h, w))
         return shapes
@@ -96,7 +99,7 @@ class Architecture:
             f"input {self.input_hw[0]} {self.input_hw[1]}",
             f"conv {' '.join(str(c) for c in self.conv_channels)}",
             f"kernel {self.kernel} stride {self.conv_stride} pad {self.conv_padding}",
-            f"pool {self.pool_window} stride {self.pool_stride}",
+            "pool 2 stride 2",
             f"dense {self.dense_width}",
             f"heads {self.n_base} {self.n_exp}",
         ])
@@ -106,7 +109,8 @@ class Architecture:
         """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
 
         Every size, kernel, stride and pool field must be positive, the
-        padding non-negative, and each stage must leave a non-empty map.
+        padding non-negative, the pool line ``pool 2 stride 2``, and each
+        stage must leave a non-empty map.
         """
         try:
             fields = {}
@@ -119,18 +123,19 @@ class Architecture:
                 kernel=int(fields["kernel"][0]),
                 conv_stride=int(fields["kernel"][2]),
                 conv_padding=int(fields["kernel"][4]),
-                pool_window=int(fields["pool"][0]),
-                pool_stride=int(fields["pool"][2]),
                 dense_width=int(fields["dense"][0]),
                 n_base=int(fields["heads"][0]),
                 n_exp=int(fields["heads"][1]),
             )
+            pool = (int(fields["pool"][0]), int(fields["pool"][2]))
             sizes = (*arch.input_hw, *arch.conv_channels, arch.kernel, arch.conv_stride,
-                     arch.pool_window, arch.pool_stride, arch.dense_width, arch.n_base,
-                     arch.n_exp)
+                     *pool, arch.dense_width, arch.n_base, arch.n_exp)
             if min(sizes) < 1 or arch.conv_padding < 0:
                 raise ValueError("a size, kernel, stride or pool field is not positive, "
                                  "or the padding is negative")
+            if pool != (2, 2):
+                raise ValueError(f"pool {pool[0]} stride {pool[1]}: only 2x2 pooling at "
+                                 "stride 2 is supported")
             if min(min(shape) for shape in arch.stage_shapes()) < 1:
                 raise ValueError(f"stages {arch.stage_shapes()} leave an empty map")
         except (KeyError, IndexError, ValueError) as exc:
@@ -273,7 +278,6 @@ class MultiOutputModel:
         if workspace is not None:
             workspace.forwards += 1
             scratch = workspace.array
-        window, stride = self.arch.pool_window, self.arch.pool_stride
 
         def whole(a):
             """Shape of slice a at the full batch."""
@@ -296,8 +300,7 @@ class MultiOutputModel:
                 except ShapeError as exc:
                     raise ShapeError(f"conv{i}: {exc}") from exc
                 conv_shape = whole(part)
-                part, offsets = _pool_offsets_batch(part, window, stride,
-                                                    need_offsets=need_trace)
+                part, offsets = _pool_offsets_batch(part, need_offsets=need_trace)
                 part = relu_forward(part)
                 if not need_trace:
                     continue
@@ -350,21 +353,18 @@ class MultiOutputModel:
         grads = [gw_d, gb_d, gw_b, gb_b, gw_e, gb_e]
         upstream = upstream.reshape(trace.batch, *self.arch.stage_shapes()[-1])
         upstream = upstream.transpose(1, 0, 2, 3)
-        window, stride = self.arch.pool_window, self.arch.pool_stride
         for i in reversed(range(len(self.convs))):
             conv = self.convs[i]
             upstream = _pool_backward_offsets_batch(
-                upstream * trace.relu_masks[i], trace.pool_offsets[i],
-                trace.conv_shapes[i], window, stride)
+                upstream * trace.relu_masks[i], trace.pool_offsets[i], trace.conv_shapes[i])
             gxpad = u2p = None
             if i > 0:
                 c, b, h, w = trace.conv_caches[i][1]
                 grid = (h + 2 * conv.padding, w + 2 * conv.padding)
                 gxpad = scratch(f"conv{i}.gxpad", (c, b, *grid), upstream.dtype)
-                if conv.stride == 1:
-                    u2p = scratch(f"conv{i}.u2p",
-                                  (conv.weights.shape[0], min(b, TRUNK_CHUNK), *grid),
-                                  upstream.dtype)
+                u2p = scratch(f"conv{i}.u2p",
+                              (conv.weights.shape[0], min(b, TRUNK_CHUNK), *grid),
+                              upstream.dtype)
             gw, gb, upstream = conv_backward_batch(conv, upstream, trace.conv_caches[i],
                                                    need_input_grad=i > 0,
                                                    gxpad=gxpad, u2p=u2p)

@@ -130,14 +130,17 @@ def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, i
     the padded gradient ``gxpad`` [C, B, H+2p, W+2p], so the [C*M*N, B*P]
     column gradient is never materialised.
 
-    At stride 1 the fold runs ``u2p.shape[1]`` samples at a time (the whole
-    batch when ``u2p`` is None).  It lays each slice of u2 on the padded grid
-    ``u2p`` [K, S, H+2p, W+2p], zero outside the [H', W'] corner, so that a
-    tap's window is one contiguous shifted 1-D range of the flattened gxpad,
-    and one GEMM computes the taps of a kernel row.  Every element receives
-    the same products in the same tap order as the strided fold, plus zeros
-    from the grid's margin, which never change a partial sum: it starts at
-    +0 and so is never -0.  Other strides fold through strided windows.
+    The fold runs ``u2p.shape[1]`` samples at a time (the whole batch when
+    ``u2p`` is None).  It lays each slice of u2 on the padded grid ``u2p``
+    [K, S, H+2p, W+2p], output (i, j) at cell (i*stride, j*stride) and zero
+    elsewhere, so that a tap's window is one contiguous shifted 1-D range of
+    the flattened gxpad, and one GEMM computes the taps of a kernel row.
+    Every element receives the same products in the same tap order as a fold
+    through strided windows of gxpad, plus zeros from the grid's other cells,
+    which never change a partial sum: it starts at +0 and so is never -0.
+    The result therefore has a strided fold's bits wherever the kernel-row
+    GEMM sums each dot product over K as the per-tap GEMM would, as it does
+    for the model's shapes, and agrees with it within rounding in general.
     ``gxpad`` and ``u2p`` are optional scratch arrays whose contents are
     overwritten; the result is a view of gxpad.
     """
@@ -150,34 +153,25 @@ def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, i
     if gxpad is None:
         gxpad = np.empty((c, b, hp, wp), dtype=dtype)
     _check_scratch("col2im gxpad", gxpad, (c, b, hp, wp), dtype)
-    if stride == 1:
-        if u2p is None:
-            u2p = np.empty((k, b, hp, wp), dtype=u2.dtype)
-        chunk = u2p.shape[1]
-        _check_scratch("col2im u2p", u2p, (k, chunk, hp, wp), u2.dtype)
-        u2p[:, :, h_out:] = 0
-        u2p[:, :, :h_out, w_out:] = 0
-        grid = u2.reshape(k, b, h_out, w_out)
-        flat = gxpad.reshape(c, b * hp * wp)
-        w_rows = weights.transpose(2, 3, 1, 0).reshape(m, n * c, k)   # one GEMM per kernel row
-        for lo in range(0, b, chunk):
-            rows = min(chunk, b - lo)
-            u2p[:, :rows, :h_out, :w_out] = grid[:, lo:lo + rows]
-            src = u2p[:, :rows].reshape(k, -1)
-            size = rows * hp * wp
-            part = flat[:, lo * hp * wp:lo * hp * wp + size]
-            part[...] = 0
-            for mi in range(m):
-                taps = (w_rows[mi] @ src).reshape(n, c, size)
-                for ni in range(n):
-                    shift = mi * wp + ni
-                    part[:, shift:] += taps[ni, :, :size - shift]
-    else:
-        gxpad[...] = 0
+    if u2p is None:
+        u2p = np.empty((k, b, hp, wp), dtype=u2.dtype)
+    chunk = u2p.shape[1]
+    _check_scratch("col2im u2p", u2p, (k, chunk, hp, wp), u2.dtype)
+    u2p[...] = 0
+    dilated = u2p[:, :, :(h_out - 1) * stride + 1:stride, :(w_out - 1) * stride + 1:stride]
+    grid = u2.reshape(k, b, h_out, w_out)
+    flat = gxpad.reshape(c, b * hp * wp)
+    w_rows = weights.transpose(2, 3, 1, 0).reshape(m, n * c, k)   # one GEMM per kernel row
+    for lo in range(0, b, chunk):
+        rows = min(chunk, b - lo)
+        dilated[:, :rows] = grid[:, lo:lo + rows]
+        src = u2p[:, :rows].reshape(k, -1)
+        size = rows * hp * wp
+        part = flat[:, lo * hp * wp:lo * hp * wp + size]
+        part[...] = 0
         for mi in range(m):
+            taps = (w_rows[mi] @ src).reshape(n, c, size)
             for ni in range(n):
-                tap = weights[:, :, mi, ni].T @ u2
-                gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                      ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
+                shift = mi * wp + ni
+                part[:, shift:] += taps[ni, :, :size - shift]
     return gxpad[:, :, padding:h + padding, padding:w + padding]
-

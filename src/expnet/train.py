@@ -10,6 +10,7 @@ taken per batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.early_stop_patience}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        # the chained comparisons are False for NaN, so a NaN is rejected too
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass

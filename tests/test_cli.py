@@ -140,6 +140,17 @@ def test_missing_file_reports_path(tmp_path, capsys):
     assert "nope" in err
 
 
+def test_train_rejects_bad_lr_before_writing(tmp_path, capsys):
+    data = str(tmp_path / "d.bin")
+    model = tmp_path / "m.ckpt"
+    cli_main(["generate", "--count", "20", "--seed", "4", "--out", data])
+    for lr in ("-1", "nan"):
+        assert cli_main(["train", "--data", data, "--out", str(model), "--epochs", "1",
+                         "--lr", lr]) == 1
+        assert capsys.readouterr().err.startswith("error: lr ")
+        assert not model.exists()
+
+
 def test_bad_magic_reported_as_error(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"GARBAGE!")

@@ -63,68 +63,68 @@ def test_relu_backward_matches_finite_difference():
 
 def test_maxpool_single_window():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-    out, off = _pool_offsets_batch(x, 2, 2)
+    out, off = _pool_offsets_batch(x)
     assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == 4.0
     assert off.dtype == np.uint8 and off[0, 0, 0, 0] == 3    # cell (1, 1) of the window
 
 
 def test_maxpool_tie_break_first_cell():
-    x = np.full((1, 2, 6, 6), 2.5, dtype=np.float32)
-    # window 2 stride 2 takes the max-tree path, the others the stacked argmax
-    for window, stride in ((2, 2), (2, 1), (3, 3)):
-        out, off = _pool_offsets_batch(x, window, stride)
-        assert np.all(out == 2.5)
+    # an even map and an odd one, whose trailing row and column no window covers
+    for shape in ((1, 2, 6, 6), (1, 2, 5, 7)):
+        x = np.full(shape, 2.5, dtype=np.float32)
+        out, off = _pool_offsets_batch(x)
+        ref_out, ref_off = pool_reference(x)
+        assert np.array_equal(out, ref_out) and np.all(out == 2.5)
+        assert off.tobytes() == ref_off.tobytes()
         assert not off.any()          # every window picks its top-left cell
 
 
 def test_maxpool_ramp():
     x = (np.arange(16, dtype=np.float32) + 1).reshape(1, 1, 4, 4)
-    out, off = _pool_offsets_batch(x, 2, 2)
+    out, off = _pool_offsets_batch(x)
     assert np.array_equal(out[0, 0], np.array([[6, 8], [14, 16]], dtype=np.float32))
     assert np.all(off == 3)
-    out, off = _pool_offsets_batch(x, 3, 1)
-    assert np.array_equal(out[0, 0], np.array([[11, 12], [15, 16]], dtype=np.float32))
-    assert np.all(off == 8)
+    x = (np.arange(35, dtype=np.float32) + 1).reshape(1, 1, 5, 7)
+    out, off = _pool_offsets_batch(x)         # floor pooling: rows 0-3, columns 0-5
+    assert np.array_equal(out[0, 0], np.array([[9, 11, 13], [23, 25, 27]], dtype=np.float32))
+    assert np.all(off == 3)
+    assert np.array_equal(out, pool_reference(x)[0])
 
 
 def test_maxpool_window_too_large():
-    with pytest.raises(ShapeError):
-        _pool_offsets_batch(np.zeros((1, 1, 2, 2), dtype=np.float32), 3, 1)
+    for shape in ((1, 1, 1, 1), (1, 1, 1, 4), (1, 1, 4, 1)):
+        with pytest.raises(ShapeError):
+            _pool_offsets_batch(np.zeros(shape, dtype=np.float32))
 
 
 def test_maxpool_backward_routing():
     up = np.array([[[[1.0]]]], dtype=np.float32)
     off = np.array([[[[3]]]], dtype=np.uint8)
-    grad = _pool_backward_offsets_batch(up, off, (1, 1, 2, 2), 2, 2)
+    grad = _pool_backward_offsets_batch(up, off, (1, 1, 2, 2))
     assert np.array_equal(grad, np.array([[[[0, 0], [0, 1]]]], dtype=np.float32))
-    zero = _pool_backward_offsets_batch(np.zeros_like(up), off, (1, 1, 2, 2), 2, 2)
+    zero = _pool_backward_offsets_batch(np.zeros_like(up), off, (1, 1, 2, 2))
     assert not zero.any()
 
 
-def pool_fd_case(seed, shape, window, stride):
+def pool_fd_case(seed, shape):
     """(numeric, analytic) input gradients of sum(maxpool(x) * up)."""
     rng = Rng(seed)
     x = rng.uniforms(int(np.prod(shape)), -1, 1).reshape(1, *shape)
-    out, off = _pool_offsets_batch(x, window, stride)
+    out, off = _pool_offsets_batch(x)
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape)
 
     def f(v):
-        return float((_pool_offsets_batch(v, window, stride)[0] * up).sum())
+        return float((_pool_offsets_batch(v)[0] * up).sum())
 
     num = central_diff(f, x)
-    ana = _pool_backward_offsets_batch(up, off, x.shape, window, stride)
+    ana = _pool_backward_offsets_batch(up, off, x.shape)
     return num, ana
 
 
 def test_maxpool_backward_matches_finite_difference():
-    num, ana = pool_fd_case(8, (2, 6, 6), 2, 2)
-    assert np.allclose(num, ana, rtol=1e-4, atol=1e-9)
-
-
-def test_maxpool_overlapping_windows_backward():
-    # stride < window: gradients from overlapping windows accumulate
-    num, ana = pool_fd_case(9, (1, 5, 5), 2, 1)
-    assert np.allclose(num, ana, rtol=1e-4, atol=1e-9)
+    for shape in ((2, 6, 6), (1, 5, 7)):
+        num, ana = pool_fd_case(8, shape)
+        assert np.allclose(num, ana, rtol=1e-4, atol=1e-9)
 
 
 def test_dense_forward_cases():
@@ -259,16 +259,14 @@ def test_conv_backward_without_input_grad():
 
 # --- ReLU after max pooling ---
 
-def pool_reference(x, window, stride):
-    """Loop oracle of max pooling: pooled values and first-maximum (row-major) offsets."""
-    h_out = (x.shape[-2] - window) // stride + 1
-    w_out = (x.shape[-1] - window) // stride + 1
+def pool_reference(x):
+    """Loop oracle of 2x2 stride-2 max pooling: values and first-maximum offsets."""
+    h_out, w_out = x.shape[-2] // 2, x.shape[-1] // 2
     out = np.zeros((*x.shape[:-2], h_out, w_out), dtype=x.dtype)
     off = np.zeros(out.shape, dtype=np.uint8)
     for idx in np.ndindex(*x.shape[:-2], h_out, w_out):
         *lead, i, j = idx
-        win = x[(*lead, slice(i * stride, i * stride + window),
-                 slice(j * stride, j * stride + window))].reshape(-1)
+        win = x[(*lead, slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2))].reshape(-1)
         off[idx] = int(np.argmax(win))
         out[idx] = win[off[idx]]
     return out, off
@@ -276,92 +274,87 @@ def pool_reference(x, window, stride):
 
 def test_pool_2x2_fast_path_matches_loop_reference():
     # all 81 windows over the values {-1, 0, 1}: all-equal windows, pairwise ties
-    # within and across rows, and ties at zero; then multi-window random maps
+    # within and across rows, and ties at zero; then multi-window random maps,
+    # one of them odd-sized
     ties = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4, indexing="ij"), dtype=np.float32)
     ties = ties.reshape(4, 3, 27).transpose(1, 2, 0).reshape(3, 27, 2, 2)
     rand = Rng(25).uniforms(2 * 3 * 8 * 6, -1, 1).reshape(2, 3, 8, 6).astype(np.float32)
-    for x in (rand, ties):
-        out, off = _pool_offsets_batch(x, 2, 2)
-        ref_out, ref_off = pool_reference(x, 2, 2)
-        assert out.tobytes() == ref_out.tobytes()
+    odd = Rng(26).uniforms(2 * 3 * 7 * 5, -1, 1).reshape(2, 3, 7, 5).astype(np.float32)
+    for x in (rand, odd, ties):
+        out, off = _pool_offsets_batch(x)
+        ref_out, ref_off = pool_reference(x)
+        # by number: np.maximum and argmax may keep different zeros of a -0/+0 tie
+        assert np.array_equal(out, ref_out)
+        if x is not odd:
+            assert out.tobytes() == ref_out.tobytes()
         assert off.dtype == np.uint8 and off.tobytes() == ref_off.tobytes()
     assert np.array_equal(np.bincount(off.ravel()), [36, 22, 14, 9])   # ties pick the first
 
 
-def relu_then_pool_reference(x, window, stride):
+def relu_then_pool_reference(x):
     """Loop oracle of the old stage order: pooled relu(x) and first-argmax offsets."""
-    return pool_reference(np.maximum(x, 0), window, stride)
+    return pool_reference(np.maximum(x, 0))
 
 
-def relu_then_pool_backward_reference(x, up, window, stride):
-    """Route up to the reference offsets, then apply the full-resolution ReLU mask.
-
-    Overlapping windows add into a cell tap by tap, in row-major tap order.
-    """
-    _, off = relu_then_pool_reference(x, window, stride)
+def relu_then_pool_backward_reference(x, up):
+    """Route up to the reference offsets, then apply the full-resolution ReLU mask."""
+    _, off = relu_then_pool_reference(x)
     grad = np.zeros_like(x)
-    for tap in range(window * window):
-        m, n = divmod(tap, window)
+    for tap in range(4):
+        m, n = divmod(tap, 2)
         for idx in zip(*np.nonzero(off == tap)):
             *lead, i, j = idx
-            grad[(*lead, i * stride + m, j * stride + n)] += up[idx]
+            grad[(*lead, 2 * i + m, 2 * j + n)] = up[idx]
     return grad * (x > 0)
 
 
-def pool_then_relu_case(seed, window):
-    """[2, 3, 6, 6] input with an all-negative window, a tie window and a window tied at 0."""
-    x = Rng(seed).uniforms(2 * 3 * 6 * 6, -1, 1).reshape(2, 3, 6, 6).astype(np.float32)
-    k = window
-    x[0, 0, :k, :k] = -0.5                      # all-negative (dead) window
-    x[0, 1, :k, :k] = 0.25                      # every cell tied
-    x[1, 2, k:2 * k, k:2 * k] = np.resize([-0.3, 0.0, 0.0, -0.1], (k, k))   # dead, tied at 0
+def pool_then_relu_case(seed, shape):
+    """Random map with an all-negative window, a tie window and a window tied at 0."""
+    x = Rng(seed).uniforms(int(np.prod(shape)), -1, 1).reshape(shape).astype(np.float32)
+    x[0, 0, :2, :2] = -0.5                      # all-negative (dead) window
+    x[0, 1, :2, :2] = 0.25                      # every cell tied
+    x[1, 2, 2:4, 2:4] = [[-0.3, 0.0], [0.0, -0.1]]   # dead, tied at 0
     return x
 
 
 def test_relu_after_pool_matches_relu_then_pool():
-    for window, stride in ((2, 2), (3, 3), (2, 1)):
-        x = pool_then_relu_case(20, window)
-        pooled, off = _pool_offsets_batch(x, window, stride)
+    for shape in ((2, 3, 6, 6), (2, 3, 5, 7)):
+        x = pool_then_relu_case(20, shape)
+        pooled, off = _pool_offsets_batch(x)
         out = relu_forward(pooled)
-        ref_out, ref_off = relu_then_pool_reference(x, window, stride)
+        ref_out, ref_off = relu_then_pool_reference(x)
         assert out.tobytes() == ref_out.tobytes()
         live = out > 0
         assert np.array_equal(off[live], ref_off[live])
         assert not live.all() and live.any()
-        fast, none = _pool_offsets_batch(x, window, stride, need_offsets=False)
+        fast, none = _pool_offsets_batch(x, need_offsets=False)
         assert none is None and fast.tobytes() == pooled.tobytes()
 
 
 def test_relu_after_pool_backward_matches_relu_then_pool():
-    for window, stride in ((2, 2), (3, 3), (2, 1)):
-        x = pool_then_relu_case(21, window)
-        pooled, off = _pool_offsets_batch(x, window, stride)
+    for shape in ((2, 3, 6, 6), (2, 3, 5, 7)):
+        x = pool_then_relu_case(21, shape)
+        pooled, off = _pool_offsets_batch(x)
         up = Rng(22).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
-        grad = _pool_backward_offsets_batch(up * (relu_forward(pooled) > 0), off,
-                                            x.shape, window, stride)
-        ref = relu_then_pool_backward_reference(x, up, window, stride)
+        grad = _pool_backward_offsets_batch(up * (relu_forward(pooled) > 0), off, x.shape)
+        ref = relu_then_pool_backward_reference(x, up)
         assert np.array_equal(grad, ref)
-        k = window
-        assert not grad[0, 0, :k, :k].any()     # dead window passes nothing
-        if window == stride:                    # the tie routes to the first cell
-            assert grad[0, 1, 0, 0] == up[0, 1, 0, 0]
-            assert not grad[0, 1, :k, :k].ravel()[1:].any()
+        assert not grad[0, 0, :2, :2].any()     # dead window passes nothing
+        assert grad[0, 1, 0, 0] == up[0, 1, 0, 0]   # the tie routes to the first cell
+        assert not grad[0, 1, :2, :2].ravel()[1:].any()
 
 
 def test_tiled_pool_backward_equals_general_path():
-    # window == stride tiling the input takes the write-once path; one extra input
-    # row (never pooled) forces the zero-fill-and-add path on the same windows
-    for shape, window in (((3, 2, 8, 6), 2), ((2, 2, 9, 6), 3)):
-        x = Rng(23).uniforms(int(np.prod(shape)), -1, 1).reshape(shape).astype(np.float32)
-        x[0, 0, :window, :window] = 0.5         # tie window
-        pooled, off = _pool_offsets_batch(x, window, window)
+    # each pooled cell is written once and an odd trailing row or column is
+    # zeroed; positive inputs make the reference's ReLU mask all ones
+    for shape in ((3, 2, 8, 6), (2, 2, 9, 7)):
+        x = Rng(23).uniforms(int(np.prod(shape)), 0.1, 1).reshape(shape).astype(np.float32)
+        x[0, 0, :2, :2] = 0.5                   # tie window
+        pooled, off = _pool_offsets_batch(x)
         up = Rng(24).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
-        tiled = _pool_backward_offsets_batch(up, off, x.shape, window, window)
-        taller = (*shape[:-2], shape[-2] + 1, shape[-1])
-        general = _pool_backward_offsets_batch(up, off, taller, window, window)
-        assert not general[..., -1, :].any()
-        # equal element for element; an unrouted cell may be -0.0 instead of +0.0
-        assert np.array_equal(tiled, general[..., :-1, :])
-        nonzero = tiled != 0
-        assert tiled[nonzero].tobytes() == general[..., :-1, :][nonzero].tobytes()
+        grad = _pool_backward_offsets_batch(up, off, x.shape)
+        ref = relu_then_pool_backward_reference(x, up)
+        assert np.array_equal(grad, ref)
+        nonzero = grad != 0
+        assert grad[nonzero].tobytes() == ref[nonzero].tobytes()
         assert np.count_nonzero(nonzero) == np.count_nonzero(up)

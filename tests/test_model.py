@@ -19,12 +19,12 @@ def test_default_architecture_shape_chain():
     x = Rng(0).uniforms(64 * 64).reshape(1, 1, 64, 64).astype(np.float32)
     y, _ = conv_forward_batch(m.convs[0], x)
     assert y.shape == (32, 1, 64, 64)
-    y, _ = _pool_offsets_batch(y, 2, 2)
+    y, _ = _pool_offsets_batch(y)
     y = relu_forward(y)
     assert y.shape == (32, 1, 32, 32)
     y2, _ = conv_forward_batch(m.convs[1], y)
     assert y2.shape == (64, 1, 32, 32)
-    y2, _ = _pool_offsets_batch(y2, 2, 2)
+    y2, _ = _pool_offsets_batch(y2)
     y2 = relu_forward(y2)
     assert y2.shape == (64, 1, 16, 16)
     flat = y2.transpose(1, 0, 2, 3).reshape(1, -1)
@@ -243,6 +243,14 @@ def test_exp_head_zero_equals_single_head_backprop():
     exp_b = grads[names.index("exp_head.bias")]
     assert not exp_w.any() and not exp_b.any()
     assert grads[names.index("conv0.weights")].any()
+
+
+def test_architecture_descriptor_bytes_are_pinned():
+    # the EXPM v1 descriptor text; pooling has no fields but keeps its line
+    assert DEFAULT_ARCH.to_text() == ("input 64 64\nconv 32 64\nkernel 3 stride 1 pad 1\n"
+                                      "pool 2 stride 2\ndense 128\nheads 8 10")
+    assert TINY_ARCH.to_text() == ("input 16 16\nconv 4 8\nkernel 3 stride 1 pad 1\n"
+                                   "pool 2 stride 2\ndense 16\nheads 8 10")
 
 
 def test_architecture_descriptor_round_trip():

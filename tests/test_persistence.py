@@ -239,7 +239,10 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
     (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"), "not positive"),
     (lambda d: d.replace(b"pool 2", b"pool 0"), "not positive"),
     (lambda d: d.replace(b"kernel 3", b"kernel 30"), "empty map"),
-], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input"])
+    (lambda d: d.replace(b"pool 2 stride 2", b"pool 3 stride 3"), "only 2x2 pooling"),
+    (lambda d: d.replace(b"pool 2 stride 2", b"pool 2 stride 1"), "only 2x2 pooling"),
+], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input", "pool-3-stride-3",
+        "pool-2-stride-1"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))

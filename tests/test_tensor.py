@@ -89,7 +89,7 @@ def col2im_reference(cols, x_shape, m, n, stride, padding):
 
 
 def strided_fold_reference(weights, u2, x_shape, stride, padding):
-    """col2im_batch's tap-by-tap fold through strided windows of a zeroed gxpad."""
+    """Tap-by-tap fold of weights^T @ u2 through strided windows of a zeroed gxpad."""
     c, b, h, w = x_shape
     _, _, m, n = weights.shape
     h_out = (h + 2 * padding - m) // stride + 1
@@ -104,11 +104,11 @@ def strided_fold_reference(weights, u2, x_shape, stride, padding):
 
 
 def test_fused_col2im_matches_explicit_column_gradient():
-    # col2im_batch folds weights^T @ u2 tap by tap, at stride 1 on the padded
-    # grid in slices of u2p.shape[1] samples, into scratch arrays that start
-    # out full of garbage; it gives the strided fold's bits, and the reference
-    # that builds the [C*M*N, B*P] column gradient first and folds it with
-    # loops agrees within rounding
+    # col2im_batch folds weights^T @ u2 tap by tap on the padded grid, in
+    # slices of u2p.shape[1] samples, into scratch arrays that start out full
+    # of garbage; on these shapes it gives the strided fold's bits, and the
+    # reference that builds the [C*M*N, B*P] column gradient first and folds
+    # it with loops agrees within rounding
     cases = [(3, 2, 6, 5, 4, 3, 3, 1, 1), (2, 3, 7, 7, 5, 3, 3, 2, 1), (4, 1, 5, 6, 3, 2, 2, 1, 0),
              (3, 5, 6, 7, 4, 3, 3, 1, 0), (2, 4, 5, 5, 3, 3, 2, 1, 2), (4, 7, 8, 6, 5, 2, 3, 1, 1)]
     for seed, (c, b, h, w, k, m, n, stride, pad) in enumerate(cases):
@@ -124,7 +124,7 @@ def test_fused_col2im_matches_explicit_column_gradient():
         grid = (h + 2 * pad, w + 2 * pad)
         for chunk in (1, 2, b):
             gxpad = np.full((c, b, *grid), np.nan, dtype=np.float32)
-            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32) if stride == 1 else None
+            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32)
             fused = col2im_batch(weights, u2, x_shape, stride, pad, gxpad=gxpad, u2p=u2p)
             assert fused.shape == x_shape and np.shares_memory(fused, gxpad)
             assert np.array_equal(fused.view(np.uint32), strided.view(np.uint32))
@@ -138,8 +138,39 @@ def test_fused_col2im_matches_explicit_column_gradient():
         cols = im2col_batch(x, m, n, stride, pad)
         w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
         lhs = float((cols * (w64.reshape(k, -1).T @ u64)).sum())
-        u2p = np.empty((k, 2, *grid)) if stride == 1 else None
+        u2p = np.empty((k, 2, *grid))
         rhs = float((x * col2im_batch(w64, u64, x_shape, stride, pad, u2p=u2p)).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_fold_random_shapes_match_loop_reference():
+    # a seeded sweep of strides 1-3, paddings 0-2 and slice sizes 1, 2 and B;
+    # the kernel-row GEMM can sum a dot product unlike the per-tap GEMM of a
+    # strided fold, so this holds the fold to the loop reference within
+    # rounding and to the adjoint identity, not to a strided fold's bits
+    for seed in range(100):
+        rng = Rng(3000 + seed)
+        c, b, k = 1 + rng.randint(3), 1 + rng.randint(4), 1 + rng.randint(4)
+        m, n = 1 + rng.randint(3), 1 + rng.randint(3)
+        stride, pad = 1 + rng.randint(3), rng.randint(3)
+        h, w = max(1, m - 2 * pad) + rng.randint(6), max(1, n - 2 * pad) + rng.randint(6)
+        x_shape = (c, b, h, w)
+        h_out = (h + 2 * pad - m) // stride + 1
+        w_out = (w + 2 * pad - n) // stride + 1
+        weights = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
+        u2 = rng.uniforms(k * b * h_out * w_out, -1, 1).reshape(k, -1).astype(np.float32)
+        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, n, stride, pad)
+        grid = (h + 2 * pad, w + 2 * pad)
+        for chunk in {1, 2, b}:
+            gxpad = np.full((c, b, *grid), np.nan, dtype=np.float32)
+            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32)
+            fused = col2im_batch(weights, u2, x_shape, stride, pad, gxpad=gxpad, u2p=u2p)
+            assert fused.shape == x_shape
+            assert np.max(np.abs(fused - ref)) < 1e-6, (seed, x_shape, k, m, n, stride, pad)
+        x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
+        w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
+        lhs = float((im2col_batch(x, m, n, stride, pad) * (w64.reshape(k, -1).T @ u64)).sum())
+        rhs = float((x * col2im_batch(w64, u64, x_shape, stride, pad)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 

@@ -62,6 +62,18 @@ def test_train_rejects_bad_inputs():
         train(ds, TrainConfig(epochs=1), arch=SMALL_ARCH)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
+    ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", -1e-9),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.inf),
+])
+def test_train_config_rejects_bad_adam_settings(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(epochs=1, **{field: value})
+    TrainConfig(epochs=1, beta1=0.0, beta2=0.0)     # the interval's closed ends are valid
+
+
 def test_history_csv_round_trips_floats():
     records = [EpochRecord(0, 1.23456789e-3, 0.1, 0.2, 4.5e-7, 0.25, 0.5)]
     text = history_csv(records)
