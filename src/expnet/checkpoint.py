@@ -16,9 +16,10 @@ import struct
 import numpy as np
 
 from .dataio import ByteReader
-from .errors import ArchitectureMismatchError, BadMagicError, ShapeError, VersionMismatchError
+from .errors import (ArchitectureMismatchError, BadMagicError, FileFormatError, ShapeError,
+                     VersionMismatchError)
 from .model import Architecture, MultiOutputModel
-from .optim import AdamState
+from .optim import AdamState, check_adam_settings
 
 MAGIC = b"EXPM"
 VERSION = 1
@@ -65,7 +66,8 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
     """Rebuild (model, adam state) from a checkpoint file.
 
     With expect_arch given (loading into an existing setup), a differing
-    stored architecture raises ArchitectureMismatchError.
+    stored architecture raises ArchitectureMismatchError.  Adam settings that
+    TrainConfig would reject raise FileFormatError naming the field.
     """
     with open(path, "rb") as f:
         reader = ByteReader(f.read(), path)
@@ -98,6 +100,10 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
     adam = None
     if reader.u8() == 1:
         lr, beta1, beta2, eps = (reader.f64() for _ in range(4))
+        try:
+            check_adam_settings(lr, beta1, beta2, eps)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: Adam state: {exc}") from exc
         t = reader.u64()
         m = [_read_tensor(reader) for _ in range(n_tensors)]
         v = [_read_tensor(reader) for _ in range(n_tensors)]

@@ -60,7 +60,7 @@ def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
     # a dead window's offset is not a kink: its output is 0 whichever cell wins
     live_offsets = [np.where(mask, off, 0) for mask, off in zip(trace.relu_masks,
                                                                 trace.pool_offsets)]
-    pattern = (*trace.relu_masks, *live_offsets, trace.dense_mask)
+    pattern = (*trace.relu_masks, *live_offsets, trace.hidden > 0)
     return float(base_loss[0] + exp_loss[0]), b"".join(a.tobytes() for a in pattern)
 
 

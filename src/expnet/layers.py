@@ -115,20 +115,16 @@ def dense_backward_batch(layer: DenseLayer, upstream: np.ndarray, cached_x: np.n
 
 # --- Convolution (forward via im2col + GEMM; see tensor.py for the oracle) ---
 
-def conv_cols_shape(layer: ConvLayer, x: np.ndarray, batch: int) -> tuple[int, ...]:
-    """Shape [C, M, N, batch, H', W'] of the im2col columns of batch samples shaped like x."""
-    h_out, w_out = _check_conv_args(x[:, 0], layer.weights, layer.bias,
-                                    layer.stride, layer.padding)
-    return (x.shape[0], *layer.weights.shape[2:], batch, h_out, w_out)
-
-
 def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
     """[C, B, H, W] -> ([K, B, H', W'], cache) where cache carries the im2col matrix.
 
-    ``cols``, shaped by conv_cols_shape, receives the im2col columns instead
-    of a new array.
+    Any kernel, stride and padding work; the model runs only 3x3 at stride 1
+    with padding 1, so its H' and W' are H and W.  ``cols``, a [C, M, N, B,
+    H', W'] array, receives the im2col columns instead of a new array.
+    Raises ShapeError if x, the parameters or cols do not fit together.
     """
-    h_out, w_out = conv_cols_shape(layer, x, x.shape[1])[-2:]
+    h_out, w_out = _check_conv_args(x[:, 0], layer.weights, layer.bias,
+                                    layer.stride, layer.padding)
     b = x.shape[1]
     k, _, m, n = layer.weights.shape
     cols = im2col_batch(x, m, n, layer.stride, layer.padding, out=cols)

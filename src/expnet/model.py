@@ -18,14 +18,14 @@ import numpy as np
 
 from .errors import ArchitectureMismatchError, ShapeError, StaleTraceError
 from .layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
-                     _pool_offsets_batch, conv_backward_batch, conv_cols_shape,
-                     conv_forward_batch, dense_backward_batch, dense_forward_batch,
-                     relu_forward)
+                     _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
+                     dense_backward_batch, dense_forward_batch, relu_forward)
 from .rng import Rng
 from .tensor import DTYPE
 
 N_BASE_CLASSES = 8    # digits 2..9
 N_EXP_CLASSES = 10    # digits 0..9
+KERNEL = 3            # every conv is 3x3 at stride 1 with padding 1: it keeps H and W
 
 # Samples per trunk slice, in every forward and in the input-gradient fold.
 # conv1's im2col matrix takes 1.18 MB per sample of the default architecture;
@@ -44,16 +44,14 @@ TRUNK_CHUNK = 16
 class Architecture:
     """Static shape plan; enough to rebuild a model without other config.
 
-    Every conv stage is followed by 2x2 max pooling at stride 2, which floors
-    an odd map; it has no fields, and the descriptor's ``pool 2 stride 2``
-    line records it.
+    Every conv stage is a KERNEL x KERNEL convolution at stride 1 with padding
+    1, which keeps H and W, followed by 2x2 max pooling at stride 2, which
+    floors an odd map.  Neither has fields: the descriptor's
+    ``kernel 3 stride 1 pad 1`` and ``pool 2 stride 2`` lines record them.
     """
 
     input_hw: tuple[int, int] = (64, 64)
     conv_channels: tuple[int, ...] = (32, 64)
-    kernel: int = 3
-    conv_stride: int = 1
-    conv_padding: int = 1
     dense_width: int = 128
     n_base: int = N_BASE_CLASSES
     n_exp: int = N_EXP_CLASSES
@@ -62,12 +60,8 @@ class Architecture:
         """[C, H, W] after the input and after each conv + 2x2 pool stage."""
         h, w = self.input_hw
         shapes = [(1, h, w)]
-        c = 1
-        for k in self.conv_channels:
-            h = (h + 2 * self.conv_padding - self.kernel) // self.conv_stride + 1
-            w = (w + 2 * self.conv_padding - self.kernel) // self.conv_stride + 1
+        for c in self.conv_channels:
             h, w = h // 2, w // 2
-            c = k
             shapes.append((c, h, w))
         return shapes
 
@@ -84,7 +78,7 @@ class Architecture:
         layers = []
         in_c = 1
         for i, out_c in enumerate(self.conv_channels):
-            layers.append((f"conv{i}", (out_c, in_c, self.kernel, self.kernel)))
+            layers.append((f"conv{i}", (out_c, in_c, KERNEL, KERNEL)))
             in_c = out_c
         layers += [("dense", (self.dense_width, self.feature_size())),
                    ("base_head", (self.n_base, self.dense_width)),
@@ -98,7 +92,7 @@ class Architecture:
         return "\n".join([
             f"input {self.input_hw[0]} {self.input_hw[1]}",
             f"conv {' '.join(str(c) for c in self.conv_channels)}",
-            f"kernel {self.kernel} stride {self.conv_stride} pad {self.conv_padding}",
+            f"kernel {KERNEL} stride 1 pad 1",
             "pool 2 stride 2",
             f"dense {self.dense_width}",
             f"heads {self.n_base} {self.n_exp}",
@@ -108,9 +102,9 @@ class Architecture:
     def from_text(cls, text: str) -> "Architecture":
         """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
 
-        Every size, kernel, stride and pool field must be positive, the
-        padding non-negative, the pool line ``pool 2 stride 2``, and each
-        stage must leave a non-empty map.
+        Every size, kernel, stride and pool field must be positive, the padding
+        non-negative, the lines ``kernel 3 stride 1 pad 1`` and ``pool 2 stride
+        2``, and each stage must leave a non-empty map.
         """
         try:
             fields = {}
@@ -120,19 +114,20 @@ class Architecture:
             arch = cls(
                 input_hw=(int(fields["input"][0]), int(fields["input"][1])),
                 conv_channels=tuple(int(c) for c in fields["conv"]),
-                kernel=int(fields["kernel"][0]),
-                conv_stride=int(fields["kernel"][2]),
-                conv_padding=int(fields["kernel"][4]),
                 dense_width=int(fields["dense"][0]),
                 n_base=int(fields["heads"][0]),
                 n_exp=int(fields["heads"][1]),
             )
+            conv = tuple(int(fields["kernel"][i]) for i in (0, 2, 4))
             pool = (int(fields["pool"][0]), int(fields["pool"][2]))
-            sizes = (*arch.input_hw, *arch.conv_channels, arch.kernel, arch.conv_stride,
-                     *pool, arch.dense_width, arch.n_base, arch.n_exp)
-            if min(sizes) < 1 or arch.conv_padding < 0:
+            sizes = (*arch.input_hw, *arch.conv_channels, *conv[:2], *pool,
+                     arch.dense_width, arch.n_base, arch.n_exp)
+            if min(sizes) < 1 or conv[2] < 0:
                 raise ValueError("a size, kernel, stride or pool field is not positive, "
                                  "or the padding is negative")
+            if conv != (KERNEL, 1, 1):
+                raise ValueError(f"kernel {conv[0]} stride {conv[1]} pad {conv[2]}: only "
+                                 "3x3 convolution at stride 1 with padding 1 is supported")
             if pool != (2, 2):
                 raise ValueError(f"pool {pool[0]} stride {pool[1]}: only 2x2 pooling at "
                                  "stride 2 is supported")
@@ -154,8 +149,9 @@ class Workspace:
     viewed at the requested shape and grown when a request outgrows it; its
     contents are whatever the last user left.  Forward passes keep their
     im2col columns here and backward passes their fold scratch, so a step
-    allocates neither afresh.  ``forwards`` counts the forward passes served:
-    each one overwrites the columns of the traces recorded before it.
+    allocates neither afresh; a forward given none makes a private one.
+    ``forwards`` counts the forward passes served: each one overwrites the
+    columns of the traces recorded before it.
     """
 
     def __init__(self):
@@ -171,30 +167,22 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def _fresh(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Workspace.array without a workspace: a new array every call."""
-    return np.empty(shape, dtype=dtype)
-
-
 @dataclass
 class ForwardTrace:
     """Caches recorded by a forward pass, consumed by backward.
 
-    The four lists hold one entry per conv stage, in forward order; trunk
-    arrays are channel-major [C, B, H, W].  A trace recorded with a workspace
-    holds its im2col columns there and is valid until that workspace serves
-    another forward.
+    The three lists hold one entry per conv stage, in forward order; trunk
+    arrays are channel-major [C, B, H, W].  The batch is len(flat) and the
+    hidden ReLU mask hidden > 0.  A trace holds its im2col columns in its
+    forward's workspace and is valid until that workspace serves another one.
     """
 
-    batch: int
-    conv_caches: list          # conv_forward_batch caches, whole-batch columns
-    conv_shapes: list          # conv output shapes, the pool backward's target
+    conv_caches: list          # conv_forward_batch caches: whole-batch columns, input shape
     relu_masks: list           # pooled conv output > 0 (ReLU runs after the pool)
     pool_offsets: list         # uint8 window offsets
     flat: np.ndarray           # flattened features, the dense input
-    dense_mask: np.ndarray     # dense pre-activation > 0
     hidden: np.ndarray         # hidden activations, the heads' input
-    workspace: Workspace | None   # holds the columns, if the forward had one
+    workspace: Workspace       # holds the columns
     forward_index: int         # workspace.forwards just after this forward
 
 
@@ -223,7 +211,7 @@ class MultiOutputModel:
                 raise ShapeError(f"{name}: shape {arr.shape} does not fit architecture "
                                  f"slot of shape {shape}")
         pairs = list(zip(arrays[0::2], arrays[1::2]))
-        convs = [ConvLayer(w, b, arch.conv_stride, arch.conv_padding) for w, b in pairs[:-3]]
+        convs = [ConvLayer(w, b, stride=1, padding=1) for w, b in pairs[:-3]]
         dense, base_head, exp_head = (DenseLayer(w, b) for w, b in pairs[-3:])
         return cls(arch, convs, dense, base_head, exp_head)
 
@@ -268,23 +256,22 @@ class MultiOutputModel:
         each slice's im2col columns, pool offsets and ReLU masks into
         whole-batch arrays; need_trace=False (inference / evaluation) skips
         the offsets and masks and reuses one slice of columns.  The columns
-        live in ``workspace`` when one is given, else in new arrays.
+        live in ``workspace``, or in a private one when none is given.
         """
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[0] == 0 or x.shape[1:] != (1, h, w):
             raise ShapeError(f"input: expected [B, 1, {h}, {w}] with B >= 1, got {x.shape}")
         batch = x.shape[0]
-        scratch = _fresh
-        if workspace is not None:
-            workspace.forwards += 1
-            scratch = workspace.array
+        if workspace is None:
+            workspace = Workspace()
+        workspace.forwards += 1
 
         def whole(a):
             """Shape of slice a at the full batch."""
             return (a.shape[0], batch, *a.shape[2:])
 
         x = x.transpose(1, 0, 2, 3)
-        cols, caches, conv_shapes, relu_masks, pool_offsets = [], [], [], [], []
+        cols, caches, relu_masks, pool_offsets = [], [], [], []
         flat = None
         for lo in range(0, batch, TRUNK_CHUNK):
             part = x[:, lo:lo + TRUNK_CHUNK]
@@ -292,40 +279,33 @@ class MultiOutputModel:
             at = lo if need_trace else 0        # where the slice's columns go
             for i, conv in enumerate(self.convs):
                 in_shape = whole(part)
+                if lo == 0:             # a same conv's columns: [C, 3, 3, span, H, W]
+                    span = batch if need_trace else rows
+                    shape = (part.shape[0], KERNEL, KERNEL, span, *part.shape[2:])
+                    cols.append(workspace.array(f"conv{i}.cols", shape, part.dtype))
                 try:
-                    if lo == 0:
-                        shape = conv_cols_shape(conv, part, batch if need_trace else rows)
-                        cols.append(scratch(f"conv{i}.cols", shape, part.dtype))
                     part, _ = conv_forward_batch(conv, part, cols=cols[i][:, :, :, at:at + rows])
                 except ShapeError as exc:
                     raise ShapeError(f"conv{i}: {exc}") from exc
-                conv_shape = whole(part)
                 part, offsets = _pool_offsets_batch(part, need_offsets=need_trace)
                 part = relu_forward(part)
                 if not need_trace:
                     continue
                 if lo == 0:
-                    c, m, n = cols[i].shape[:3]
-                    caches.append((cols[i].reshape(c * m * n, -1), in_shape))
-                    conv_shapes.append(conv_shape)
+                    caches.append((cols[i].reshape(in_shape[0] * KERNEL * KERNEL, -1), in_shape))
                     relu_masks.append(np.empty(whole(part), dtype=bool))
                     pool_offsets.append(np.empty(whole(part), dtype=np.uint8))
                 np.greater(part, 0, out=relu_masks[i][:, lo:lo + rows])
                 pool_offsets[i][:, lo:lo + rows] = offsets
-            if flat is None:
+            if flat is None:        # dense_forward_batch checks its width
                 flat = np.empty((batch, part[:, 0].size), dtype=part.dtype)
-                if flat.shape[1] != self.dense.weights.shape[1]:
-                    raise ShapeError(
-                        f"dense: flattened width {flat.shape[1]} != expected "
-                        f"{self.dense.weights.shape[1]}")
             flat[lo:lo + rows] = part.transpose(1, 0, 2, 3).reshape(rows, -1)
         pre = dense_forward_batch(self.dense, flat)
         hidden = relu_forward(pre)
         trace = None
         if need_trace:
-            trace = ForwardTrace(batch, caches, conv_shapes, relu_masks, pool_offsets,
-                                 flat, pre > 0, hidden, workspace,
-                                 workspace.forwards if workspace is not None else 0)
+            trace = ForwardTrace(caches, relu_masks, pool_offsets, flat, hidden, workspace,
+                                 workspace.forwards)
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
         return base_logits, exp_logits, trace
@@ -336,35 +316,38 @@ class MultiOutputModel:
 
         The fold scratch comes from the workspace that recorded the trace.
         Raises StaleTraceError if that workspace has served a later forward,
-        which overwrote the trace's im2col columns.
+        which overwrote the trace's im2col columns, and ShapeError if a head
+        gradient is not [B, classes] for the trace's batch.
         """
         workspace = trace.workspace
-        scratch = _fresh
-        if workspace is not None:
-            if workspace.forwards != trace.forward_index:
-                raise StaleTraceError(
-                    f"trace of forward {trace.forward_index} is stale: its workspace has "
-                    f"since served forward {workspace.forwards}, which overwrote its columns")
-            scratch = workspace.array
+        if workspace.forwards != trace.forward_index:
+            raise StaleTraceError(
+                f"trace of forward {trace.forward_index} is stale: its workspace has "
+                f"since served forward {workspace.forwards}, which overwrote its columns")
+        batch = len(trace.flat)
+        for name, head, grad in (("base_head", self.base_head, grad_base),
+                                 ("exp_head", self.exp_head, grad_exp)):
+            if grad.shape != (batch, head.weights.shape[0]):
+                raise ShapeError(f"{name}: gradient shape {grad.shape} does not match "
+                                 f"[{batch}, {head.weights.shape[0]}] of the trace's batch")
         gw_b, gb_b, gx_b = dense_backward_batch(self.base_head, grad_base, trace.hidden)
         gw_e, gb_e, gx_e = dense_backward_batch(self.exp_head, grad_exp, trace.hidden)
-        upstream = (gx_b + gx_e) * trace.dense_mask     # heads meet at the shared trunk
+        upstream = (gx_b + gx_e) * (trace.hidden > 0)   # heads meet at the shared trunk
         gw_d, gb_d, upstream = dense_backward_batch(self.dense, upstream, trace.flat)
         grads = [gw_d, gb_d, gw_b, gb_b, gw_e, gb_e]
-        upstream = upstream.reshape(trace.batch, *self.arch.stage_shapes()[-1])
+        upstream = upstream.reshape(batch, *self.arch.stage_shapes()[-1])
         upstream = upstream.transpose(1, 0, 2, 3)
-        for i in reversed(range(len(self.convs))):
-            conv = self.convs[i]
+        for i, conv in reversed(list(enumerate(self.convs))):
+            c, b, h, w = trace.conv_caches[i][1]
+            k = conv.weights.shape[0]
             upstream = _pool_backward_offsets_batch(
-                upstream * trace.relu_masks[i], trace.pool_offsets[i], trace.conv_shapes[i])
+                upstream * trace.relu_masks[i], trace.pool_offsets[i], (k, b, h, w))
             gxpad = u2p = None
             if i > 0:
-                c, b, h, w = trace.conv_caches[i][1]
                 grid = (h + 2 * conv.padding, w + 2 * conv.padding)
-                gxpad = scratch(f"conv{i}.gxpad", (c, b, *grid), upstream.dtype)
-                u2p = scratch(f"conv{i}.u2p",
-                              (conv.weights.shape[0], min(b, TRUNK_CHUNK), *grid),
-                              upstream.dtype)
+                gxpad = workspace.array(f"conv{i}.gxpad", (c, b, *grid), upstream.dtype)
+                u2p = workspace.array(f"conv{i}.u2p", (k, min(b, TRUNK_CHUNK), *grid),
+                                      upstream.dtype)
             gw, gb, upstream = conv_backward_batch(conv, upstream, trace.conv_caches[i],
                                                    need_input_grad=i > 0,
                                                    gxpad=gxpad, u2p=u2p)

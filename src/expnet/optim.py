@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,20 @@ class AdamState:
         return cls(m=[np.zeros_like(p) for p in params],
                    v=[np.zeros_like(p) for p in params],
                    t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+
+
+def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float,
+                        eps_name: str = "eps") -> None:
+    """Raise ValueError naming the first setting with which an update goes wrong or NaN.
+
+    The chained comparisons are False for NaN, so a NaN is rejected too.
+    """
+    for name, value, rule, ok in (("lr", lr, "finite and > 0", 0.0 < lr < math.inf),
+                                  ("beta1", beta1, "in [0, 1)", 0.0 <= beta1 < 1.0),
+                                  ("beta2", beta2, "in [0, 1)", 0.0 <= beta2 < 1.0),
+                                  (eps_name, eps, "finite and > 0", 0.0 < eps < math.inf)):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 # Elements per Adam block: the block's slices of p, g, m, v and the update's

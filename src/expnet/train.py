@@ -20,7 +20,7 @@ from .datagen import Sample
 from .evaluate import EVAL_CHUNK, loss_and_predictions, stack_dataset  # noqa: F401
 from .losses import softmax_ce_batch
 from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, check_adam_settings
 from .rng import Rng
 
 
@@ -47,14 +47,11 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.early_stop_patience}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        # the chained comparisons are False for NaN, so a NaN is rejected too
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        check_adam_settings(self.lr, self.beta1, self.beta2, self.adam_eps, eps_name="adam_eps")
+        # a NaN would make every epoch a bad one without saying so
+        if not 0.0 <= self.early_stop_min_delta < math.inf:
+            raise ValueError(f"early_stop_min_delta must be finite and >= 0, "
+                             f"got {self.early_stop_min_delta}")
 
 
 @dataclass

@@ -42,7 +42,6 @@ def test_relu_backward_mask():
     m.dense.bias[:] = -1e3
     img = Rng(3).uniforms(16 * 16).reshape(1, 1, 16, 16).astype(np.float32)
     _, _, trace = m.forward_batch(img)
-    assert trace.dense_mask.dtype == bool and not trace.dense_mask.any()
     assert not trace.hidden.any()
     for mask in trace.relu_masks:
         assert mask.dtype == bool and mask.any() and not mask.all()

@@ -44,10 +44,10 @@ def test_forward_logit_shapes_and_trace():
     img = Rng(1).uniforms(64 * 64).reshape(1, 64, 64).astype(np.float32)
     base, exp, trace = m.forward_batch(img[None])
     assert base.shape == (1, 8) and exp.shape == (1, 10)
-    assert trace.batch == 1
-    assert len(trace.conv_caches) == len(trace.conv_shapes) == 2
-    assert len(trace.relu_masks) == len(trace.pool_offsets) == 2
-    assert trace.conv_shapes == [(32, 1, 64, 64), (64, 1, 32, 32)]
+    assert len(trace.conv_caches) == len(trace.relu_masks) == len(trace.pool_offsets) == 2
+    # each conv's input shape, whose H and W its same-padded output keeps
+    assert [shape for _, shape in trace.conv_caches] == [(1, 1, 64, 64), (32, 1, 32, 32)]
+    assert [cols.shape for cols, _ in trace.conv_caches] == [(9, 64 * 64), (32 * 9, 32 * 32)]
     # masks are taken after the pool, at pooled resolution
     assert trace.relu_masks[0].shape == (32, 1, 32, 32)
     assert trace.relu_masks[1].shape == trace.pool_offsets[1].shape == (64, 1, 16, 16)
@@ -204,6 +204,20 @@ def test_shape_error_names_layer():
         model_forward(m, img)
 
 
+def test_backward_rejects_mis_shaped_head_gradients():
+    m = MultiOutputModel.init(TINY_ARCH, 4)
+    img = Rng(4).uniforms(16 * 16).reshape(1, 1, 16, 16).astype(np.float32)
+    _, _, trace = m.forward_batch(img)
+    good_base, good_exp = np.ones((1, 8), np.float32), np.ones((1, 10), np.float32)
+    for bad in (np.ones((2, 8), np.float32), np.ones((1, 7), np.float32),
+                np.ones(8, np.float32)):
+        with pytest.raises(ShapeError, match=r"base_head: gradient shape .* \[1, 8\]"):
+            m.backward_batch(trace, bad, good_exp)
+    with pytest.raises(ShapeError, match=r"exp_head: gradient shape \(1, 8\) .* \[1, 10\]"):
+        m.backward_batch(trace, good_base, good_base)
+    m.backward_batch(trace, good_base, good_exp)
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     m = MultiOutputModel.init(TINY_ARCH, 4)
     img = Rng(4).uniforms(16 * 16).reshape(1, 16, 16).astype(np.float32)
@@ -270,8 +284,7 @@ def test_parameters_order_and_set():
     arrays = [a + 1 for a in m.param_arrays()]
     built = MultiOutputModel.from_arrays(TINY_ARCH, arrays)
     assert all(a is b for a, b in zip(built.param_arrays(), arrays))
-    assert built.convs[1].stride == TINY_ARCH.conv_stride
-    assert built.convs[1].padding == TINY_ARCH.conv_padding
+    assert all(conv.stride == 1 and conv.padding == 1 for conv in built.convs)
     with pytest.raises(ShapeError, match="expected 10"):
         MultiOutputModel.from_arrays(TINY_ARCH, arrays[:-1])
     with pytest.raises(ShapeError, match="dense.weights"):

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -238,11 +239,18 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
     (lambda d: b"\xff\xfe" + d, "not UTF-8"),
     (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"), "not positive"),
     (lambda d: d.replace(b"pool 2", b"pool 0"), "not positive"),
-    (lambda d: d.replace(b"kernel 3", b"kernel 30"), "empty map"),
+    (lambda d: d.replace(b"kernel 3", b"kernel 30"), "only 3x3 convolution"),
     (lambda d: d.replace(b"pool 2 stride 2", b"pool 3 stride 3"), "only 2x2 pooling"),
     (lambda d: d.replace(b"pool 2 stride 2", b"pool 2 stride 1"), "only 2x2 pooling"),
+    (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 5 stride 1 pad 2"),
+     "kernel 5 stride 1 pad 2: only 3x3 convolution at stride 1 with padding 1"),
+    (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 2 pad 1"),
+     "only 3x3 convolution"),
+    (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 1 pad 0"),
+     "only 3x3 convolution"),
+    (lambda d: d.replace(b"input 16 16", b"input 16 1"), "empty map"),
 ], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input", "pool-3-stride-3",
-        "pool-2-stride-1"])
+        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))
@@ -252,6 +260,20 @@ def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     assert descriptor != blob[12:end]
     path.write_bytes(blob[:8] + struct.pack("<I", len(descriptor)) + descriptor + blob[end:])
     with pytest.raises(ArchitectureMismatchError, match=match):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", math.nan), ("lr", 0.0), ("beta1", 1.0), ("beta2", -0.5), ("eps", math.inf),
+])
+def test_checkpoint_unusable_adam_settings_rejected(tmp_path, field, value):
+    # Adam with any of these silently turns every parameter NaN or steps it backwards
+    model = MultiOutputModel.init(TINY_ARCH, 9)
+    state = AdamState.init(model.param_arrays())
+    setattr(state, field, value)
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(model, str(path), adam_state=state)
+    with pytest.raises(FileFormatError, match=f"m.ckpt: Adam state: {field} must be"):
         read_checkpoint(str(path))
 
 
