@@ -153,16 +153,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    samples, header = read_dataset(args.data)
+    dataset, header = read_dataset(args.data)
     if args.attr == "base":
-        values = [header.base_range[0] + s.base_label for s in samples]
-        buckets = histogram(values)
+        buckets = histogram((header.base_range[0] + dataset.base_labels).tolist())
     elif args.attr == "exponent":
-        values = [header.exp_range[0] + s.exp_label for s in samples]
-        buckets = histogram(values)
+        buckets = histogram((header.exp_range[0] + dataset.exp_labels).tolist())
     else:
         idx = 1 if args.attr == "noise" else 2
-        buckets = histogram([s.meta[idx] for s in samples], bins=args.bins)
+        buckets = histogram(dataset.meta[:, idx], bins=args.bins)
     with open(args.out, "w") as f:
         f.write("bucket,count\n")
         for bucket, count in buckets:

@@ -49,14 +49,37 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} is empty: ({lo}, {hi})")
+        for name in ("base_range", "exp_range"):
+            lo, hi = getattr(self, name)
+            if lo not in GLYPHS or hi not in GLYPHS:
+                raise ValueError(f"{name} must lie within the digits 0..9, got ({lo}, {hi})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
     image: np.ndarray                 # [1, H, W] float32 in [0, 1]
     base_label: int                   # index into base_range
     exp_label: int                    # index into exp_range
     meta: tuple[float, float, float]  # (font_scale, noise_sigma, blur_sigma)
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Samples as columns: ds[i] is a Sample viewing them, ds[slice or index array] a Dataset."""
+    images: np.ndarray       # [N, 1, H, W] float32 in [0, 1]
+    base_labels: np.ndarray  # [N] int64
+    exp_labels: np.ndarray   # [N] int64
+    meta: np.ndarray         # [N, 3] float32, Sample.meta's order
+
+    def __len__(self) -> int:
+        return len(self.base_labels)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Sample(self.images[key], int(self.base_labels[key]),
+                          int(self.exp_labels[key]), tuple(self.meta[key].tolist()))
+        return Dataset(self.images[key], self.base_labels[key], self.exp_labels[key],
+                       self.meta[key])
 
 
 def _scale_glyph(digit: int, scale: float) -> np.ndarray:
@@ -152,12 +175,16 @@ def generate_sample(config: GenConfig, index: int) -> Sample:
     return Sample(image, base_label, exp_label, (font_scale, noise_sigma, blur_sigma))
 
 
-def generate_dataset(config: GenConfig) -> list[Sample]:
+def generate_dataset(config: GenConfig) -> Dataset:
     """All samples of the config, in index order."""
-    samples = []
-    for i in range(config.count):
+    n = config.count
+    ds = Dataset(np.empty((n, 1, *config.image_size), DTYPE), np.empty(n, np.int64),
+                 np.empty(n, np.int64), np.empty((n, 3), DTYPE))
+    for i in range(n):
         try:
-            samples.append(generate_sample(config, i))
+            s = generate_sample(config, i)
         except LayoutError as exc:
             raise LayoutError(f"sample {i}: {exc}") from exc
-    return samples
+        ds.images[i], ds.base_labels[i], ds.exp_labels[i], ds.meta[i] = (
+            s.image, s.base_label, s.exp_label, s.meta)
+    return ds

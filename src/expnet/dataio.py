@@ -1,10 +1,11 @@
 """Binary dataset files: magic "EXPD", version 1, little-endian throughout.
 
 Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 base_lo, u8 base_hi,
-u8 exp_lo, u8 exp_hi; then per sample H*W pixel bytes (round(p*255)),
-u8 base_label, u8 exp_label, and three f32 metadata values (font_scale,
-noise_sigma, blur_sigma).  Pixels are quantized to 1/255, far below the
-noise scales; labels and metadata round-trip exactly.
+u8 exp_lo, u8 exp_hi; then one packed record per sample (``record_dtype``):
+H*W pixel bytes (round(p*255)), u8 base_label, u8 exp_label, and three f32
+metadata values (font_scale, noise_sigma, blur_sigma), written and read as
+one record array.  Pixels are quantized to 1/255, far below the noise scales;
+labels and metadata round-trip exactly.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Sample
+from .datagen import Dataset
 from .errors import BadMagicError, FileFormatError, TruncatedFileError, VersionMismatchError
 
 MAGIC = b"EXPD"
 VERSION = 1
+WRITE_ROWS = 1024   # rows the writer quantizes at a time: 16 MB per float temporary at 64x64
 
 
 @dataclass(frozen=True)
@@ -37,16 +39,19 @@ class ByteReader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past n bytes; returns the offset where they start."""
         if n < 0:
             raise FileFormatError(f"{self.path}: negative length {n} at offset {self.pos}")
         if self.pos + n > len(self.data):
             raise TruncatedFileError(
                 f"{self.path}: needed {n} bytes at offset {self.pos}, "
                 f"file has {len(self.data)}")
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self.skip(n):self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -56,9 +61,6 @@ class ByteReader:
 
     def u8(self) -> int:
         return self.take(1)[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
 
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
@@ -70,34 +72,39 @@ class ByteReader:
                 f"{self.path}: {len(self.data) - self.pos} trailing bytes at offset {self.pos}")
 
 
-def write_dataset(samples: list[Sample], path: str,
+def record_dtype(h: int, w: int) -> np.dtype:
+    """One sample's packed EXPD record."""
+    return np.dtype([("pixels", "u1", (1, h, w)), ("base", "u1"), ("exp", "u1"),
+                     ("meta", "<f4", (3,))])
+
+
+def write_dataset(dataset: Dataset, path: str,
                   base_range: tuple[int, int] = (2, 9),
                   exp_range: tuple[int, int] = (0, 9)) -> None:
-    if not samples:
+    if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
-    h, w = samples[0].image.shape[1:]
-    parts = [MAGIC,
-             struct.pack("<IIII", VERSION, len(samples), h, w),
-             struct.pack("<BBBB", base_range[0], base_range[1],
-                         exp_range[0], exp_range[1])]
+    _, _, h, w = dataset.images.shape
     n_base = base_range[1] - base_range[0] + 1
     n_exp = exp_range[1] - exp_range[0] + 1
-    for i, s in enumerate(samples):
-        if s.image.shape != (1, h, w):
-            raise ValueError(f"sample image shape {s.image.shape} != (1, {h}, {w})")
-        if not (0 <= s.base_label < n_base and 0 <= s.exp_label < n_exp):
-            raise ValueError(
-                f"sample {i} labels ({s.base_label}, {s.exp_label}) outside the "
-                f"{n_base} base / {n_exp} exp classes of base {base_range} / exp {exp_range}")
-        pixels = np.round(s.image[0] * 255.0).astype(np.uint8)
-        parts.append(pixels.tobytes())
-        parts.append(struct.pack("<BB", s.base_label, s.exp_label))
-        parts.append(struct.pack("<fff", *s.meta))
+    bad = ((dataset.base_labels < 0) | (dataset.base_labels >= n_base)
+           | (dataset.exp_labels < 0) | (dataset.exp_labels >= n_exp))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"sample {i} labels ({dataset[i].base_label}, {dataset[i].exp_label}) outside the "
+            f"{n_base} base / {n_exp} exp classes of base {base_range} / exp {exp_range}")
+    records = np.empty(len(dataset), record_dtype(h, w))
+    for lo in range(0, len(dataset), WRITE_ROWS):
+        rows = slice(lo, lo + WRITE_ROWS)
+        records["pixels"][rows] = np.round(dataset.images[rows] * 255.0)
+    records["base"], records["exp"] = dataset.base_labels, dataset.exp_labels
+    records["meta"] = dataset.meta
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(MAGIC + struct.pack("<4I4B", VERSION, len(dataset), h, w, *base_range, *exp_range))
+        f.write(records)   # the array's own buffer: no bytes copy of the whole file
 
 
-def read_dataset(path: str) -> tuple[list[Sample], DatasetHeader]:
+def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
     with open(path, "rb") as f:
         reader = ByteReader(f.read(), path)
     if reader.take(4) != MAGIC:
@@ -106,23 +113,28 @@ def read_dataset(path: str) -> tuple[list[Sample], DatasetHeader]:
     if version != VERSION:
         raise VersionMismatchError(f"{path}: dataset version {version}, expected {VERSION}")
     count = reader.u32()
+    if count == 0:
+        raise FileFormatError(f"{path}: sample count 0 at offset 8; a dataset is never empty")
     h, w = reader.u32(), reader.u32()
     if h == 0 or w == 0:
         raise FileFormatError(f"{path}: image size {h}x{w} at offset {reader.pos - 8} "
                               "has a zero dimension")
     base_range = (reader.u8(), reader.u8())
     exp_range = (reader.u8(), reader.u8())
-    samples = []
-    for i in range(count):
-        pixels = np.frombuffer(reader.take(h * w), dtype=np.uint8)
-        image = (pixels.astype(np.float32) / 255.0).reshape(1, h, w)
-        base_label = reader.u8()
-        exp_label = reader.u8()
-        if base_label > base_range[1] - base_range[0] or exp_label > exp_range[1] - exp_range[0]:
-            raise FileFormatError(
-                f"{path}: sample {i} labels ({base_label}, {exp_label}) at offset "
-                f"{reader.pos - 2} outside the header's base {base_range} / exp {exp_range}")
-        meta = (reader.f32(), reader.f32(), reader.f32())
-        samples.append(Sample(image, base_label, exp_label, meta))
+    rec = record_dtype(h, w)
+    start = reader.skip(count * rec.itemsize)
+    records = np.frombuffer(reader.data, rec, count, offset=start)
     reader.expect_end()
-    return samples, DatasetHeader(count, (h, w), base_range, exp_range)
+    bad = ((records["base"] > base_range[1] - base_range[0])
+           | (records["exp"] > exp_range[1] - exp_range[0]))
+    if bad.any():
+        i = int(bad.argmax())
+        raise FileFormatError(
+            f"{path}: sample {i} labels ({records['base'][i]}, {records['exp'][i]}) at offset "
+            f"{start + i * rec.itemsize + h * w} outside the header's base {base_range} / "
+            f"exp {exp_range}")
+    images = records["pixels"].astype(np.float32)
+    images /= 255.0
+    dataset = Dataset(images, records["base"].astype(np.int64), records["exp"].astype(np.int64),
+                      records["meta"].astype(np.float32))
+    return dataset, DatasetHeader(count, (h, w), base_range, exp_range)

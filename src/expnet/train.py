@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Sample
+from .datagen import Dataset
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
-from .evaluate import EVAL_CHUNK, loss_and_predictions, stack_dataset  # noqa: F401
+from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
 from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
 from .optim import AdamState, adam_step, check_adam_settings
@@ -95,18 +95,14 @@ def batch_loss_and_grads(model: MultiOutputModel, images: np.ndarray,
     return float(base_losses.mean()), float(exp_losses.mean()), grads
 
 
-def validation_metrics(model: MultiOutputModel, images: np.ndarray,
-                       base_labels: np.ndarray, exp_labels: np.ndarray,
+def validation_metrics(model: MultiOutputModel, dataset: Dataset,
                        workspace: Workspace | None = None):
     """(mean total loss, base accuracy, exp accuracy) over a fixed set."""
-    n = images.shape[0]
-    loss_sum, base_pred, exp_pred = loss_and_predictions(model, images, base_labels, exp_labels,
-                                                         workspace)
-    return (loss_sum / n, int((base_pred == base_labels).sum()) / n,
-            int((exp_pred == exp_labels).sum()) / n)
+    report = evaluate(model, dataset, workspace)
+    return report.mean_loss, report.base_accuracy, report.exp_accuracy
 
 
-def train(dataset: list[Sample], config: TrainConfig,
+def train(dataset: Dataset, config: TrainConfig,
           arch: Architecture = DEFAULT_ARCH, init_seed: int = 0,
           initial_model: MultiOutputModel | None = None,
           initial_adam: AdamState | None = None,
@@ -117,19 +113,17 @@ def train(dataset: list[Sample], config: TrainConfig,
     exact same remaining epochs as an uninterrupted run; early-stopping
     counters start fresh on resume.
     """
-    images, base_labels, exp_labels = stack_dataset(dataset)
-    n = images.shape[0]
-    if base_labels.max() >= arch.n_base or exp_labels.max() >= arch.n_exp:
+    n = len(dataset)
+    n_val = max(1, int(round(config.validation_fraction * n)))
+    if n_val >= n:
+        raise ValueError(f"validation split leaves no training data (n={n})")
+    if dataset.base_labels.max() >= arch.n_base or dataset.exp_labels.max() >= arch.n_exp:
         raise ValueError("dataset labels exceed the model's head widths")
 
     rng = Rng(config.seed)
     split = rng.substream(0).permutation(n)
-    n_val = max(1, int(round(config.validation_fraction * n)))
-    if n_val >= n:
-        raise ValueError(f"validation split leaves no training data (n={n})")
     val_idx, train_idx = split[:n_val], split[n_val:]
-    val_images = images[val_idx]
-    val_base, val_exp = base_labels[val_idx], exp_labels[val_idx]
+    val_set = dataset[val_idx]
 
     if initial_model is None:
         model = MultiOutputModel.init(arch, init_seed)
@@ -154,17 +148,16 @@ def train(dataset: list[Sample], config: TrainConfig,
         order = train_idx[rng.substream(epoch + 1).permutation(len(train_idx))]
         base_sum = exp_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
-            idx = order[lo:lo + config.batch_size]
+            batch = dataset[order[lo:lo + config.batch_size]]
             b_loss, e_loss, grads = batch_loss_and_grads(
-                model, images[idx], base_labels[idx], exp_labels[idx], workspace=workspace)
+                model, batch.images, batch.base_labels, batch.exp_labels, workspace=workspace)
             adam_step(params, grads, adam)
-            base_sum += b_loss * len(idx)
-            exp_sum += e_loss * len(idx)
+            base_sum += b_loss * len(batch)
+            exp_sum += e_loss * len(batch)
 
         train_base = base_sum / len(order)
         train_exp = exp_sum / len(order)
-        val_total, val_base_acc, val_exp_acc = validation_metrics(
-            model, val_images, val_base, val_exp, workspace)
+        val_total, val_base_acc, val_exp_acc = validation_metrics(model, val_set, workspace)
         history.append(EpochRecord(epoch, train_base + train_exp, train_base,
                                    train_exp, val_total, val_base_acc, val_exp_acc))
 

@@ -156,6 +156,9 @@ def test_sample_substream_isolation():
         alone = generate_sample(cfg, i)
         assert np.array_equal(alone.image, ds[i].image)
         assert alone.meta == ds[i].meta
+        assert np.array_equal(alone.image, ds.images[i])
+        assert (alone.base_label, alone.exp_label) == (ds.base_labels[i], ds.exp_labels[i])
+        assert alone.meta == tuple(ds.meta[i].tolist())
 
 
 def test_pinned_ranges_produce_exact_levels():
@@ -178,6 +181,14 @@ def test_label_balance_smoke():
     exp_counts = np.bincount([s.exp_label for s in ds], minlength=10)
     assert base_counts.max() / base_counts.min() < 1.5
     assert exp_counts.max() / exp_counts.min() < 1.5
+
+
+@pytest.mark.parametrize("field", ["base_range", "exp_range"])
+@pytest.mark.parametrize("digits", [(2, 12), (-1, 9), (10, 10)])
+def test_config_rejects_ranges_outside_the_digits(field, digits):
+    with pytest.raises(ValueError, match=f"^{field} must lie within the digits 0..9"):
+        GenConfig(**{field: digits})
+    GenConfig(**{field: (0, 9)})
 
 
 def test_invalid_config_rejected():

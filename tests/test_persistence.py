@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import struct
 
@@ -6,7 +8,7 @@ import pytest
 
 from expnet.checkpoint import read_checkpoint, write_checkpoint
 from expnet.dataio import ByteReader, read_dataset, write_dataset
-from expnet.datagen import GenConfig, generate_dataset
+from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
 from expnet.model import DEFAULT_ARCH, TINY_ARCH, Architecture, MultiOutputModel
@@ -28,6 +30,23 @@ def test_dataset_round_trip(tmp_path):
         assert (a.base_label, a.exp_label) == (b.base_label, b.exp_label)
         assert a.meta == b.meta
         assert np.max(np.abs(a.image - b.image)) <= 1.0 / 255.0
+    assert np.shares_memory(back[3].image, back.images)
+    for key in (slice(2, 7), np.array([9, 0, 4])):
+        part = back[key]
+        assert isinstance(part, Dataset)
+        assert np.array_equal(part.images, back.images[key])
+        assert np.array_equal(part.base_labels, back.base_labels[key])
+        assert np.array_equal(part.exp_labels, back.exp_labels[key])
+        assert np.array_equal(part.meta, back.meta[key])
+
+
+def test_dataset_bytes_are_pinned(tmp_path):
+    path = tmp_path / "d.bin"
+    write_dataset(generate_dataset(GenConfig(count=6, master_seed=44)), str(path))
+    blob = path.read_bytes()
+    assert len(blob) == 24 + 6 * (64 * 64 + 2 + 12)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "5a8bae59541065711df1d54554f4381726ff1d466dc53327805f6582bd13ac53")
 
 
 def test_dataset_write_is_deterministic(tmp_path):
@@ -102,6 +121,16 @@ def test_dataset_label_out_of_range_rejected(tmp_path):
         read_dataset(str(path))
 
 
+def test_dataset_zero_count_rejected(tmp_path):
+    ds = generate_dataset(GenConfig(count=1, master_seed=5))
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    header = path.read_bytes()[:24]
+    path.write_bytes(header[:8] + struct.pack("<I", 0) + header[12:])
+    with pytest.raises(FileFormatError, match="d.bin: sample count 0 at offset 8"):
+        read_dataset(str(path))
+
+
 def test_dataset_zero_image_dims_rejected(tmp_path):
     ds = generate_dataset(GenConfig(count=2, master_seed=5))
     path = tmp_path / "d.bin"
@@ -117,18 +146,21 @@ def test_dataset_zero_image_dims_rejected(tmp_path):
 def test_dataset_writer_rejects_out_of_range_label(tmp_path):
     ds = generate_dataset(GenConfig(count=3, master_seed=4))
     path = tmp_path / "d.bin"
-    ds[1].base_label = 200
+    ds.base_labels[1] = 200
     with pytest.raises(ValueError, match="sample 1 labels"):
         write_dataset(ds, str(path))
     assert not path.exists()
-    ds[1].base_label = 7
-    ds[2].exp_label = -1
+    ds.base_labels[1] = 7
+    ds.exp_labels[2] = -1
     with pytest.raises(ValueError, match="sample 2 labels"):
         write_dataset(ds, str(path))
     assert not path.exists()
-    ds[2].exp_label = 9
+    ds.exp_labels[2] = 9
     write_dataset(ds, str(path))
     assert [s.base_label for s in read_dataset(str(path))[0]][1] == 7
+    # rows are read-only views: a write to one would never reach the columns
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds[1].base_label = 3
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import expnet.train as train_mod
-from expnet.datagen import GenConfig, Sample, generate_dataset
+from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.evaluate import EvalReport, evaluate, histogram, robustness_sweep
 from expnet.model import Architecture, MultiOutputModel, TINY_ARCH
 from expnet.rng import Rng
@@ -54,10 +54,10 @@ def test_training_deterministic():
 
 
 def test_train_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        train([], TrainConfig(epochs=1))
     ds = small_dataset(30, 8)
-    ds[3].exp_label = 42
+    with pytest.raises(ValueError, match="no training data"):
+        train(ds[:0], TrainConfig(epochs=1))
+    ds.exp_labels[3] = 42
     with pytest.raises(ValueError):
         train(ds, TrainConfig(epochs=1), arch=SMALL_ARCH)
 
@@ -98,9 +98,10 @@ def constant_predictor(arch, base_class, exp_class):
 
 def synthetic_samples(n, seed, hw=(16, 16)):
     rng = Rng(seed)
-    return [Sample(np.zeros((1, *hw), dtype=np.float32),
-                   rng.randint(8), rng.randint(10), (2.0, 0.0, 0.0))
-            for _ in range(n)]
+    labels = np.array([(rng.randint(8), rng.randint(10)) for _ in range(n)],
+                      dtype=np.int64).reshape(n, 2)
+    return Dataset(np.zeros((n, 1, *hw), dtype=np.float32), labels[:, 0], labels[:, 1],
+                   np.tile(np.array([2.0, 0.0, 0.0], dtype=np.float32), (n, 1)))
 
 
 def test_evaluate_constant_predictor():
@@ -128,8 +129,8 @@ def test_evaluate_joint_bounded_and_confusion_conserves():
 
 def test_evaluate_empty_dataset_rejected():
     model = MultiOutputModel.init(TINY_ARCH, 0)
-    with pytest.raises(ValueError):
-        evaluate(model, [])
+    with pytest.raises(ValueError, match="dataset is empty"):
+        evaluate(model, synthetic_samples(0, 0))
 
 
 def test_sweep_contract_and_determinism():
