@@ -3,13 +3,14 @@
 Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 base_lo, u8 base_hi,
 u8 exp_lo, u8 exp_hi; then one packed record per sample (``record_dtype``):
 H*W pixel bytes (round(p*255)), u8 base_label, u8 exp_label, and three f32
-metadata values (font_scale, noise_sigma, blur_sigma), written and read as
-one record array.  Pixels are quantized to 1/255, far below the noise scales;
-labels and metadata round-trip exactly.
+metadata values (font_scale, noise_sigma, blur_sigma), written as one record
+array and read WRITE_ROWS records at a time.  Pixels are quantized to 1/255,
+far below the noise scales; labels and metadata round-trip exactly.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +21,8 @@ from .errors import BadMagicError, FileFormatError, TruncatedFileError, VersionM
 
 MAGIC = b"EXPD"
 VERSION = 1
-WRITE_ROWS = 1024   # rows the writer quantizes at a time: 16 MB per float temporary at 64x64
+WRITE_ROWS = 1024   # rows converted at a time: 16 MB per float temporary at 64x64
+HEADER_SIZE = 24    # magic, four u32 and four u8
 
 
 @dataclass(frozen=True)
@@ -32,21 +34,25 @@ class DatasetHeader:
 
 
 class ByteReader:
-    """Sequential reader that turns short reads into TruncatedFileError."""
+    """Sequential reader that turns short reads into TruncatedFileError.
 
-    def __init__(self, data: bytes, path: str):
+    ``size`` is the length of the whole file when ``data`` holds only its
+    first bytes; skip() and expect_end() check against it.
+    """
+
+    def __init__(self, data: bytes, path: str, size: int | None = None):
         self.data = data
         self.pos = 0
         self.path = path
+        self.size = len(data) if size is None else size
 
     def skip(self, n: int) -> int:
         """Move past n bytes; returns the offset where they start."""
         if n < 0:
             raise FileFormatError(f"{self.path}: negative length {n} at offset {self.pos}")
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.size:
             raise TruncatedFileError(
-                f"{self.path}: needed {n} bytes at offset {self.pos}, "
-                f"file has {len(self.data)}")
+                f"{self.path}: needed {n} bytes at offset {self.pos}, file has {self.size}")
         self.pos += n
         return self.pos - n
 
@@ -67,9 +73,9 @@ class ByteReader:
 
     def expect_end(self) -> None:
         """Raise FileFormatError unless every byte has been read."""
-        if self.pos != len(self.data):
+        if self.pos != self.size:
             raise FileFormatError(
-                f"{self.path}: {len(self.data) - self.pos} trailing bytes at offset {self.pos}")
+                f"{self.path}: {self.size - self.pos} trailing bytes at offset {self.pos}")
 
 
 def record_dtype(h: int, w: int) -> np.dtype:
@@ -105,36 +111,49 @@ def write_dataset(dataset: Dataset, path: str,
 
 
 def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
+    """Read an EXPD file, WRITE_ROWS records at a time into preallocated columns.
+
+    The file's length is checked against its header before any record is
+    read, so only one slice of records is ever held besides the columns.
+    """
     with open(path, "rb") as f:
-        reader = ByteReader(f.read(), path)
-    if reader.take(4) != MAGIC:
-        raise BadMagicError(f"{path}: not a dataset file (bad magic)")
-    version = reader.u32()
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: dataset version {version}, expected {VERSION}")
-    count = reader.u32()
-    if count == 0:
-        raise FileFormatError(f"{path}: sample count 0 at offset 8; a dataset is never empty")
-    h, w = reader.u32(), reader.u32()
-    if h == 0 or w == 0:
-        raise FileFormatError(f"{path}: image size {h}x{w} at offset {reader.pos - 8} "
-                              "has a zero dimension")
-    base_range = (reader.u8(), reader.u8())
-    exp_range = (reader.u8(), reader.u8())
-    rec = record_dtype(h, w)
-    start = reader.skip(count * rec.itemsize)
-    records = np.frombuffer(reader.data, rec, count, offset=start)
-    reader.expect_end()
-    bad = ((records["base"] > base_range[1] - base_range[0])
-           | (records["exp"] > exp_range[1] - exp_range[0]))
-    if bad.any():
-        i = int(bad.argmax())
-        raise FileFormatError(
-            f"{path}: sample {i} labels ({records['base'][i]}, {records['exp'][i]}) at offset "
-            f"{start + i * rec.itemsize + h * w} outside the header's base {base_range} / "
-            f"exp {exp_range}")
-    images = records["pixels"].astype(np.float32)
-    images /= 255.0
-    dataset = Dataset(images, records["base"].astype(np.int64), records["exp"].astype(np.int64),
-                      records["meta"].astype(np.float32))
+        reader = ByteReader(f.read(HEADER_SIZE), path, size=os.fstat(f.fileno()).st_size)
+        if reader.take(4) != MAGIC:
+            raise BadMagicError(f"{path}: not a dataset file (bad magic)")
+        version = reader.u32()
+        if version != VERSION:
+            raise VersionMismatchError(f"{path}: dataset version {version}, expected {VERSION}")
+        count = reader.u32()
+        if count == 0:
+            raise FileFormatError(f"{path}: sample count 0 at offset 8; a dataset is never empty")
+        h, w = reader.u32(), reader.u32()
+        if h == 0 or w == 0:
+            raise FileFormatError(f"{path}: image size {h}x{w} at offset {reader.pos - 8} "
+                                  "has a zero dimension")
+        base_range = (reader.u8(), reader.u8())
+        exp_range = (reader.u8(), reader.u8())
+        rec = record_dtype(h, w)
+        start = reader.skip(count * rec.itemsize)
+        reader.expect_end()
+        dataset = Dataset(np.empty((count, 1, h, w), np.float32), np.empty(count, np.int64),
+                          np.empty(count, np.int64), np.empty((count, 3), np.float32))
+        buffer = np.empty(min(count, WRITE_ROWS), rec)
+        for lo in range(0, count, WRITE_ROWS):
+            records = buffer[:count - lo]
+            if f.readinto(records) != records.nbytes:
+                raise TruncatedFileError(f"{path}: file shrank while being read")
+            bad = ((records["base"] > base_range[1] - base_range[0])
+                   | (records["exp"] > exp_range[1] - exp_range[0]))
+            if bad.any():
+                i = int(bad.argmax())
+                raise FileFormatError(
+                    f"{path}: sample {lo + i} labels ({records['base'][i]}, "
+                    f"{records['exp'][i]}) at offset {start + (lo + i) * rec.itemsize + h * w} "
+                    f"outside the header's base {base_range} / exp {exp_range}")
+            rows = slice(lo, lo + len(records))
+            dataset.images[rows] = records["pixels"]
+            dataset.images[rows] /= 255.0
+            dataset.base_labels[rows] = records["base"]
+            dataset.exp_labels[rows] = records["exp"]
+            dataset.meta[rows] = records["meta"]
     return dataset, DatasetHeader(count, (h, w), base_range, exp_range)

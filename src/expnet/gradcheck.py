@@ -7,10 +7,10 @@ Everything is re-evaluated in 64-bit: central differences at eps=1e-3 on
 The network is piecewise smooth: a central difference is only meaningful if
 p-eps, p, and p+eps all lie in the same linear region of every ReLU and the
 same routing of every max pool.  Each probe therefore records the activation
-pattern (ReLU sign masks plus pool window offsets); elements whose pattern
-changes across the stencil sit on a kink or pooling tie and are excluded
-from the per-tensor maximum, mirroring how the analytic subgradient is only
-defined off those sets.
+pattern (every pool stage's routes, which fold in its ReLU, plus the hidden
+ReLU mask); elements whose pattern changes across the stencil sit on a kink
+or pooling tie and are excluded from the per-tensor maximum, mirroring how
+the analytic subgradient is only defined off those sets.
 """
 
 from __future__ import annotations
@@ -57,10 +57,8 @@ def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
     base_logits, exp_logits, trace = model.forward_batch(image[None])
     base_loss, _ = softmax_ce_batch(base_logits, np.array([base_label]))
     exp_loss, _ = softmax_ce_batch(exp_logits, np.array([exp_label]))
-    # a dead window's offset is not a kink: its output is 0 whichever cell wins
-    live_offsets = [np.where(mask, off, 0) for mask, off in zip(trace.relu_masks,
-                                                                trace.pool_offsets)]
-    pattern = (*trace.relu_masks, *live_offsets, trace.hidden > 0)
+    # a dead window routes DEAD whichever cell wins: its output is 0 either way
+    pattern = (*trace.routes, trace.hidden > 0)
     return float(base_loss[0] + exp_loss[0]), b"".join(a.tobytes() for a in pattern)
 
 

@@ -26,6 +26,7 @@ from .tensor import DTYPE
 N_BASE_CLASSES = 8    # digits 2..9
 N_EXP_CLASSES = 10    # digits 0..9
 KERNEL = 3            # every conv is 3x3 at stride 1 with padding 1: it keeps H and W
+DEAD = 4              # route of a pooled value the ReLU zeroes: it matches no window cell
 
 # Samples per trunk slice, in every forward and in the input-gradient fold.
 # conv1's im2col matrix takes 1.18 MB per sample of the default architecture;
@@ -171,15 +172,15 @@ class Workspace:
 class ForwardTrace:
     """Caches recorded by a forward pass, consumed by backward.
 
-    The three lists hold one entry per conv stage, in forward order; trunk
-    arrays are channel-major [C, B, H, W].  The batch is len(flat) and the
-    hidden ReLU mask hidden > 0.  A trace holds its im2col columns in its
-    forward's workspace and is valid until that workspace serves another one.
+    The two lists hold one entry per conv stage, in forward order; routes are
+    channel-major [C, B, H, W], a pooled value's 2x2 window cell 0-3, or DEAD
+    where the ReLU zeroes it.  The batch is len(flat) and the hidden ReLU mask
+    hidden > 0.  A trace holds its im2col columns in its forward's workspace
+    and is valid until that workspace serves another one.
     """
 
-    conv_caches: list          # conv_forward_batch caches: whole-batch columns, input shape
-    relu_masks: list           # pooled conv output > 0 (ReLU runs after the pool)
-    pool_offsets: list         # uint8 window offsets
+    cols: list                 # whole-batch im2col columns, [C*3*3, B*H*W] per conv
+    routes: list               # uint8 window cell per pooled value, DEAD where not > 0
     flat: np.ndarray           # flattened features, the dense input
     hidden: np.ndarray         # hidden activations, the heads' input
     workspace: Workspace       # holds the columns
@@ -252,11 +253,12 @@ class MultiOutputModel:
         The trunk runs channel-major, [C, B, H, W], TRUNK_CHUNK samples at a
         time, and applies each ReLU after its max pool: max is monotone, so
         relu(maxpool(x)) == maxpool(relu(x)) exactly, at a quarter of the
-        elements.  Dense and heads see the whole batch.  A traced pass writes
-        each slice's im2col columns, pool offsets and ReLU masks into
-        whole-batch arrays; need_trace=False (inference / evaluation) skips
-        the offsets and masks and reuses one slice of columns.  The columns
-        live in ``workspace``, or in a private one when none is given.
+        elements.  Dense and heads see the whole batch.  Every per-stage
+        array is sized up front from arch.stage_shapes().  A traced pass
+        writes each slice's im2col columns and routes into whole-batch arrays;
+        need_trace=False (inference / evaluation) skips the routes and reuses
+        one slice of columns.  The columns live in ``workspace``, or in a
+        private one when none is given.
         """
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[0] == 0 or x.shape[1:] != (1, h, w):
@@ -266,46 +268,44 @@ class MultiOutputModel:
             workspace = Workspace()
         workspace.forwards += 1
 
-        def whole(a):
-            """Shape of slice a at the full batch."""
-            return (a.shape[0], batch, *a.shape[2:])
+        shapes = self.arch.stage_shapes()
+        dtype = np.result_type(x.dtype, *(conv.weights.dtype for conv in self.convs))
+        span = batch if need_trace else min(batch, TRUNK_CHUNK)
+        cols, routes = [], []
+        for i, (c, h, w) in enumerate(shapes[:-1]):     # a same conv keeps H and W
+            cols.append(workspace.array(f"conv{i}.cols", (c, KERNEL, KERNEL, span, h, w),
+                                        x.dtype if i == 0 else dtype))
+            if need_trace:
+                k, h2, w2 = shapes[i + 1]
+                routes.append(np.empty((k, batch, h2, w2), dtype=np.uint8))
+        flat = np.empty((batch, self.arch.feature_size()), dtype=dtype)
 
         x = x.transpose(1, 0, 2, 3)
-        cols, caches, relu_masks, pool_offsets = [], [], [], []
-        flat = None
         for lo in range(0, batch, TRUNK_CHUNK):
             part = x[:, lo:lo + TRUNK_CHUNK]
             rows = part.shape[1]
             at = lo if need_trace else 0        # where the slice's columns go
             for i, conv in enumerate(self.convs):
-                in_shape = whole(part)
-                if lo == 0:             # a same conv's columns: [C, 3, 3, span, H, W]
-                    span = batch if need_trace else rows
-                    shape = (part.shape[0], KERNEL, KERNEL, span, *part.shape[2:])
-                    cols.append(workspace.array(f"conv{i}.cols", shape, part.dtype))
                 try:
                     part, _ = conv_forward_batch(conv, part, cols=cols[i][:, :, :, at:at + rows])
                 except ShapeError as exc:
                     raise ShapeError(f"conv{i}: {exc}") from exc
                 part, offsets = _pool_offsets_batch(part, need_offsets=need_trace)
                 part = relu_forward(part)
-                if not need_trace:
-                    continue
-                if lo == 0:
-                    caches.append((cols[i].reshape(in_shape[0] * KERNEL * KERNEL, -1), in_shape))
-                    relu_masks.append(np.empty(whole(part), dtype=bool))
-                    pool_offsets.append(np.empty(whole(part), dtype=np.uint8))
-                np.greater(part, 0, out=relu_masks[i][:, lo:lo + rows])
-                pool_offsets[i][:, lo:lo + rows] = offsets
-            if flat is None:        # dense_forward_batch checks its width
-                flat = np.empty((batch, part[:, 0].size), dtype=part.dtype)
+                if need_trace:
+                    # 0xff where part > 0, else 0: then the and and the xor give offsets or DEAD
+                    route = routes[i][:, lo:lo + rows]
+                    np.negative((part > 0).view(np.uint8), out=route)
+                    offsets ^= DEAD
+                    route &= offsets
+                    route ^= DEAD
             flat[lo:lo + rows] = part.transpose(1, 0, 2, 3).reshape(rows, -1)
         pre = dense_forward_batch(self.dense, flat)
         hidden = relu_forward(pre)
         trace = None
         if need_trace:
-            trace = ForwardTrace(caches, relu_masks, pool_offsets, flat, hidden, workspace,
-                                 workspace.forwards)
+            trace = ForwardTrace([c.reshape(len(c) * KERNEL * KERNEL, -1) for c in cols], routes,
+                                 flat, hidden, workspace, workspace.forwards)
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
         return base_logits, exp_logits, trace
@@ -335,22 +335,22 @@ class MultiOutputModel:
         upstream = (gx_b + gx_e) * (trace.hidden > 0)   # heads meet at the shared trunk
         gw_d, gb_d, upstream = dense_backward_batch(self.dense, upstream, trace.flat)
         grads = [gw_d, gb_d, gw_b, gb_b, gw_e, gb_e]
-        upstream = upstream.reshape(batch, *self.arch.stage_shapes()[-1])
-        upstream = upstream.transpose(1, 0, 2, 3)
+        shapes = self.arch.stage_shapes()
+        upstream = upstream.reshape(batch, *shapes[-1]).transpose(1, 0, 2, 3)
         for i, conv in reversed(list(enumerate(self.convs))):
-            c, b, h, w = trace.conv_caches[i][1]
+            c, h, w = shapes[i]
             k = conv.weights.shape[0]
-            upstream = _pool_backward_offsets_batch(
-                upstream * trace.relu_masks[i], trace.pool_offsets[i], (k, b, h, w))
+            # a DEAD route matches no cell, so it passes upstream * 0: the ReLU's zero
+            upstream = _pool_backward_offsets_batch(upstream, trace.routes[i], (k, batch, h, w))
             gxpad = u2p = None
             if i > 0:
                 grid = (h + 2 * conv.padding, w + 2 * conv.padding)
-                gxpad = workspace.array(f"conv{i}.gxpad", (c, b, *grid), upstream.dtype)
-                u2p = workspace.array(f"conv{i}.u2p", (k, min(b, TRUNK_CHUNK), *grid),
+                gxpad = workspace.array(f"conv{i}.gxpad", (c, batch, *grid), upstream.dtype)
+                u2p = workspace.array(f"conv{i}.u2p", (k, min(batch, TRUNK_CHUNK), *grid),
                                       upstream.dtype)
-            gw, gb, upstream = conv_backward_batch(conv, upstream, trace.conv_caches[i],
-                                                   need_input_grad=i > 0,
-                                                   gxpad=gxpad, u2p=u2p)
+            gw, gb, upstream = conv_backward_batch(
+                conv, upstream, (trace.cols[i], (c, batch, h, w)), need_input_grad=i > 0,
+                gxpad=gxpad, u2p=u2p)
             grads[:0] = [gw, gb]
         return grads
 

@@ -108,9 +108,11 @@ class Rng:
         return out[:n]
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n), its n - 1 draws taken in one bulk call."""
         perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        if n < 2:
+            return perm
+        js = (self.u64(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
         return perm

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import expnet
 from expnet import model as model_module
 from expnet.checkpoint import read_checkpoint
 from expnet.cli import cli_main
@@ -167,3 +172,14 @@ def test_generated_file_readable_via_api(tmp_path):
     assert len(samples) == 12
     assert all(s.meta[1] <= 0.1 + 1e-6 for s in samples)
     assert header.image_size == (64, 64)
+
+
+def test_python_m_expnet_runs_the_cli():
+    # the package runs as a module too, for a checkout without the installed script
+    src = os.path.dirname(os.path.dirname(expnet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "expnet", "gradcheck", "--seed", "4"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip().endswith("gradient check: PASS")

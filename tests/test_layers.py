@@ -5,7 +5,7 @@ from expnet.errors import ShapeError
 from expnet.layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
                            _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
                            dense_backward_batch, dense_forward_batch, relu_forward)
-from expnet.model import TINY_ARCH, MultiOutputModel
+from expnet.model import DEAD, TINY_ARCH, MultiOutputModel
 from expnet.rng import Rng
 
 
@@ -36,15 +36,16 @@ def test_relu_forward_signs():
 
 
 def test_relu_backward_mask():
-    # backward_batch multiplies by the recorded (pre-activation > 0) masks: a dead
-    # hidden layer passes no gradient into the trunk, only into the heads' biases
+    # backward_batch passes gradient only through live routes and hidden > 0: a
+    # dead hidden layer passes none into the trunk, only into the heads' biases
     m = MultiOutputModel.init(TINY_ARCH, 3)
     m.dense.bias[:] = -1e3
     img = Rng(3).uniforms(16 * 16).reshape(1, 1, 16, 16).astype(np.float32)
     _, _, trace = m.forward_batch(img)
     assert not trace.hidden.any()
-    for mask in trace.relu_masks:
-        assert mask.dtype == bool and mask.any() and not mask.all()
+    for route in trace.routes:
+        live = route != DEAD
+        assert route.dtype == np.uint8 and live.any() and not live.all()
     grads = m.backward_batch(trace, np.ones((1, 8), dtype=np.float32),
                              np.ones((1, 10), dtype=np.float32))
     for (name, _), g in zip(m.parameters(), grads):

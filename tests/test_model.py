@@ -6,7 +6,7 @@ import pytest
 from expnet.errors import ShapeError, StaleTraceError
 from expnet.layers import conv_forward_batch, dense_forward_batch, relu_forward
 from expnet.layers import _pool_offsets_batch
-from expnet.model import (DEFAULT_ARCH, TINY_ARCH, TRUNK_CHUNK, Architecture,
+from expnet.model import (DEAD, DEFAULT_ARCH, TINY_ARCH, TRUNK_CHUNK, Architecture,
                           MultiOutputModel, Workspace, model_forward)
 from expnet.rng import Rng
 from expnet.train import batch_loss_and_grads
@@ -44,22 +44,44 @@ def test_forward_logit_shapes_and_trace():
     img = Rng(1).uniforms(64 * 64).reshape(1, 64, 64).astype(np.float32)
     base, exp, trace = m.forward_batch(img[None])
     assert base.shape == (1, 8) and exp.shape == (1, 10)
-    assert len(trace.conv_caches) == len(trace.relu_masks) == len(trace.pool_offsets) == 2
-    # each conv's input shape, whose H and W its same-padded output keeps
-    assert [shape for _, shape in trace.conv_caches] == [(1, 1, 64, 64), (32, 1, 32, 32)]
-    assert [cols.shape for cols, _ in trace.conv_caches] == [(9, 64 * 64), (32 * 9, 32 * 32)]
-    # masks are taken after the pool, at pooled resolution
-    assert trace.relu_masks[0].shape == (32, 1, 32, 32)
-    assert trace.relu_masks[1].shape == trace.pool_offsets[1].shape == (64, 1, 16, 16)
-    assert trace.pool_offsets[1].dtype == np.uint8
+    assert len(trace.cols) == len(trace.routes) == 2
+    # each conv's columns cover its input, whose H and W its same-padded output keeps
+    assert [cols.shape for cols in trace.cols] == [(9, 64 * 64), (32 * 9, 32 * 32)]
+    # routes are taken after the pool, at pooled resolution, with the ReLU folded in
+    assert [route.shape for route in trace.routes] == [(32, 1, 32, 32), (64, 1, 16, 16)]
+    assert all(route.dtype == np.uint8 and route.max() <= DEAD for route in trace.routes)
     assert trace.flat.shape == (1, 16384) and trace.hidden.shape == (1, 128)
-    assert np.array_equal(trace.relu_masks[1].transpose(1, 0, 2, 3).reshape(1, -1),
+    assert np.array_equal((trace.routes[1] != DEAD).transpose(1, 0, 2, 3).reshape(1, -1),
                           trace.flat > 0)
     assert m.forward_batch(img[None], need_trace=False)[2] is None
     # model_forward, the single-image predict, is the untraced pass
     base1, exp1, no_trace = model_forward(m, img)
     assert no_trace is None
     assert np.array_equal(base1, base[0]) and np.array_equal(exp1, exp[0])
+
+
+def test_routes_are_window_cells_where_live_and_exactly_dead_elsewhere():
+    # an identity conv pools the image itself: one window all negative with its
+    # max in cell 3, one tied at 5 in cells 1 and 3, one tied at 0 in cells 1
+    # and 2, one live in cell 2; the second image is all NaN
+    m = MultiOutputModel.init(Architecture(input_hw=(4, 4), conv_channels=(1,),
+                                           dense_width=2), 0)
+    m.convs[0].weights[:] = 0
+    m.convs[0].weights[0, 0, 1, 1] = 1
+    img = np.array([[-3, -2, 1, 5],
+                    [-4, -1, 0, 5],
+                    [-1, 0, 1, 2],
+                    [0, -2, 7, 3]], dtype=np.float32)
+    imgs = np.stack([img, np.full_like(img, np.nan)])[:, None]
+    _, _, trace = m.forward_batch(imgs)
+    pooled, offsets = _pool_offsets_batch(imgs.transpose(1, 0, 2, 3))
+    (route,) = trace.routes
+    assert route.dtype == np.uint8 and route.shape == (1, 2, 2, 2)
+    assert np.array_equal(offsets[0, 0], [[3, 1], [1, 2]])
+    assert np.array_equal(route[0, 0], [[DEAD, 1], [DEAD, 2]])
+    live = pooled > 0
+    assert np.array_equal(route[live], offsets[live])
+    assert (route[~live] == DEAD).all() and (~live[0, 1]).all()
 
 
 def test_forward_batch_matches_per_sample():

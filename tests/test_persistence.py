@@ -1,18 +1,21 @@
 import dataclasses
 import hashlib
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from expnet.checkpoint import read_checkpoint, write_checkpoint
-from expnet.dataio import ByteReader, read_dataset, write_dataset
+from expnet.dataio import WRITE_ROWS, ByteReader, read_dataset, write_dataset
 from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
 from expnet.model import DEFAULT_ARCH, TINY_ARCH, Architecture, MultiOutputModel
 from expnet.optim import AdamState
+from expnet.rng import Rng
 from expnet.train import TrainConfig, train
 
 SMALL_ARCH = Architecture(input_hw=(64, 64), conv_channels=(4, 8), dense_width=32)
@@ -55,6 +58,27 @@ def test_dataset_write_is_deterministic(tmp_path):
     write_dataset(ds, p1)
     write_dataset(ds, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_dataset_read_holds_one_slice_of_records(tmp_path):
+    # the reader converts WRITE_ROWS records at a time into the columns, so it
+    # never holds the file's bytes beside the images: 8 slices' worth here
+    n = 8 * WRITE_ROWS
+    r = Rng(12)
+    images = np.round(r.uniforms(n * 16 * 16) * 255).reshape(n, 1, 16, 16) / 255
+    ds = Dataset(images.astype(np.float32), np.arange(n) % 8, np.arange(n) % 10,
+                 r.uniforms(3 * n).reshape(n, 3).astype(np.float32))
+    path = str(tmp_path / "d.bin")
+    write_dataset(ds, path)
+    tracemalloc.start()
+    try:
+        back, _ = read_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.images, ds.images) and np.array_equal(back.meta, ds.meta)
+    assert np.array_equal(back.exp_labels, ds.exp_labels)
+    assert peak < back.images.nbytes + os.path.getsize(path) // 2
 
 
 def test_dataset_bad_magic(tmp_path):

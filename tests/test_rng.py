@@ -64,3 +64,16 @@ def test_permutation_is_a_permutation():
     assert sorted(perm.tolist()) == list(range(1000))
     assert np.array_equal(perm, Rng(6).permutation(1000))
     assert not np.array_equal(perm, Rng(7).permutation(1000))
+
+
+def test_permutation_matches_scalar_fisher_yates():
+    # the bulk draws are the scalar next_u64 stream: output k depends only on (key, k)
+    for n in (0, 1, 2, 17, 1000):
+        ref, r = list(range(n)), Rng(11)
+        for i in range(n - 1, 0, -1):
+            j = r.next_u64() % (i + 1)
+            ref[i], ref[j] = ref[j], ref[i]
+        rng = Rng(11)
+        perm = rng.permutation(n)
+        assert perm.dtype == np.int64 and perm.tolist() == ref, n
+        assert rng.next_u64() == r.next_u64()    # both consumed max(n - 1, 0) draws
