@@ -36,7 +36,7 @@ def _read_tensor(reader: ByteReader) -> np.ndarray:
     rank = reader.u32()
     shape = tuple(reader.u32() for _ in range(rank))
     n = math.prod(shape)           # Python ints: a huge shape cannot wrap to a small size
-    data = np.frombuffer(reader.take(4 * n), dtype="<f4").astype(np.float32)
+    data = np.frombuffer(reader.data, "<f4", n, reader.skip(4 * n)).astype(np.float32)
     return data.reshape(shape)
 
 
@@ -61,13 +61,11 @@ def write_checkpoint(model: MultiOutputModel, path: str,
         f.write(b"".join(parts))
 
 
-def read_checkpoint(path: str, expect_arch: Architecture | None = None
-                    ) -> tuple[MultiOutputModel, AdamState | None]:
+def read_checkpoint(path: str) -> tuple[MultiOutputModel, AdamState | None]:
     """Rebuild (model, adam state) from a checkpoint file.
 
-    With expect_arch given (loading into an existing setup), a differing
-    stored architecture raises ArchitectureMismatchError.  Adam settings that
-    TrainConfig would reject raise FileFormatError naming the field.
+    Adam settings that TrainConfig would reject raise FileFormatError naming
+    the field.
     """
     with open(path, "rb") as f:
         reader = ByteReader(f.read(), path)
@@ -83,10 +81,6 @@ def read_checkpoint(path: str, expect_arch: Architecture | None = None
         raise ArchitectureMismatchError(f"{path}: architecture descriptor is not UTF-8: "
                                         f"{exc}") from exc
     arch = Architecture.from_text(text)
-    if expect_arch is not None and arch != expect_arch:
-        raise ArchitectureMismatchError(
-            f"{path}: checkpoint architecture does not match the target model:\n"
-            f"stored:\n{arch.to_text()}\nexpected:\n{expect_arch.to_text()}")
     n_tensors = reader.u32()
     n_expected = len(arch.param_shapes())
     if n_tensors != n_expected:

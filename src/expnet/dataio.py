@@ -132,9 +132,10 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
                                   "has a zero dimension")
         base_range = (reader.u8(), reader.u8())
         exp_range = (reader.u8(), reader.u8())
-        rec = record_dtype(h, w)
-        start = reader.skip(count * rec.itemsize)
+        size = h * w + 14          # Python ints: a huge image size cannot overflow a dtype
+        start = reader.skip(count * size)
         reader.expect_end()
+        rec = record_dtype(h, w)
         dataset = Dataset(np.empty((count, 1, h, w), np.float32), np.empty(count, np.int64),
                           np.empty(count, np.int64), np.empty((count, 3), np.float32))
         buffer = np.empty(min(count, WRITE_ROWS), rec)
@@ -148,7 +149,7 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
                 i = int(bad.argmax())
                 raise FileFormatError(
                     f"{path}: sample {lo + i} labels ({records['base'][i]}, "
-                    f"{records['exp'][i]}) at offset {start + (lo + i) * rec.itemsize + h * w} "
+                    f"{records['exp'][i]}) at offset {start + (lo + i) * size + h * w} "
                     f"outside the header's base {base_range} / exp {exp_range}")
             rows = slice(lo, lo + len(records))
             dataset.images[rows] = records["pixels"]

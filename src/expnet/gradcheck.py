@@ -44,13 +44,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def to_csv(self) -> str:
-        lines = ["parameter,max_rel_err,status,checked,excluded"]
-        for r in self.rows:
-            lines.append(f"{r.name},{r.max_rel_err!r},{'pass' if r.ok else 'fail'},"
-                         f"{r.n_checked},{r.n_excluded}")
-        return "\n".join(lines) + "\n"
-
 
 def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
                       base_label: int, exp_label: int) -> tuple[float, bytes]:

@@ -116,7 +116,7 @@ def dense_backward_batch(layer: DenseLayer, upstream: np.ndarray, cached_x: np.n
 # --- Convolution (forward via im2col + GEMM; see tensor.py for the oracle) ---
 
 def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None = None):
-    """[C, B, H, W] -> ([K, B, H', W'], cache) where cache carries the im2col matrix.
+    """[C, B, H, W] -> ([K, B, H', W'], the im2col matrix [C*M*N, B*H'*W']).
 
     Any kernel, stride and padding work; the model runs only 3x3 at stride 1
     with padding 1, so its H' and W' are H and W.  ``cols``, a [C, M, N, B,
@@ -130,25 +130,27 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None 
     cols = im2col_batch(x, m, n, layer.stride, layer.padding, out=cols)
     out = layer.weights.reshape(k, -1) @ cols
     out += layer.bias[:, None]
-    return out.reshape(k, b, h_out, w_out), (cols, x.shape)
+    return out.reshape(k, b, h_out, w_out), cols
 
 
-def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cache,
-                        need_input_grad: bool = True, gxpad: np.ndarray | None = None,
-                        u2p: np.ndarray | None = None):
+def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cols: np.ndarray,
+                        gxpad: np.ndarray | None = None, u2p: np.ndarray | None = None):
     """Returns (grad_weights, grad_bias, grad_x) summed over the batch.
 
-    upstream is [K, B, H', W']; grad_x is [C, B, H, W], or None when
-    need_input_grad is False (the first layer, whose input is the image).
-    gxpad and u2p are col2im_batch's optional scratch arrays.
+    upstream is [K, B, H', W'] and cols the forward's im2col matrix.  grad_x
+    [C, B, H, W] is computed only when col2im_batch's scratch arrays gxpad
+    [C, B, H+2, W+2] and u2p are given, and only for a 3x3 conv at stride 1
+    with padding 1 (ShapeError otherwise); it is None without them, as for
+    the first layer, whose input is the image.
     """
-    cols, x_shape = cache
     k = layer.weights.shape[0]
     u2 = upstream.reshape(k, -1)
     grad_w = (u2 @ cols.T).reshape(layer.weights.shape)
     grad_b = u2.sum(axis=1)
     grad_x = None
-    if need_input_grad:
-        grad_x = col2im_batch(layer.weights, u2, x_shape, layer.stride, layer.padding,
-                              gxpad=gxpad, u2p=u2p)
+    if gxpad is not None:
+        if (layer.stride, layer.padding) != (1, 1):
+            raise ShapeError(f"input gradient of a conv at stride {layer.stride}, padding "
+                             f"{layer.padding}: only stride 1 with padding 1 is supported")
+        grad_x = col2im_batch(layer.weights, u2, gxpad, u2p)
     return grad_w, grad_b, grad_x

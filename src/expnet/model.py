@@ -344,13 +344,11 @@ class MultiOutputModel:
             upstream = _pool_backward_offsets_batch(upstream, trace.routes[i], (k, batch, h, w))
             gxpad = u2p = None
             if i > 0:
-                grid = (h + 2 * conv.padding, w + 2 * conv.padding)
+                grid = (h + 2, w + 2)           # the fold's padded grid
                 gxpad = workspace.array(f"conv{i}.gxpad", (c, batch, *grid), upstream.dtype)
                 u2p = workspace.array(f"conv{i}.u2p", (k, min(batch, TRUNK_CHUNK), *grid),
                                       upstream.dtype)
-            gw, gb, upstream = conv_backward_batch(
-                conv, upstream, (trace.cols[i], (c, batch, h, w)), need_input_grad=i > 0,
-                gxpad=gxpad, u2p=u2p)
+            gw, gb, upstream = conv_backward_batch(conv, upstream, trace.cols[i], gxpad, u2p)
             grads[:0] = [gw, gb]
         return grads
 

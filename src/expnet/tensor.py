@@ -4,10 +4,14 @@ Tensors are plain numpy ``ndarray``s: row-major, channels-first ``[C, H, W]``
 for a single image or feature map and channel-major ``[C, B, H, W]`` for a
 batch, 32-bit floats for model data (the gradient-check harness re-runs
 everything in 64-bit, so all math here preserves the input dtype).  Inputs
-are never mutated.  ``im2col_batch`` and ``col2im_batch`` allocate their
-results unless the caller hands them arrays to fill (``out``, ``gxpad``,
-``u2p``); a returned array may then be a view of such an array, whose
-earlier contents are overwritten.
+are never mutated.  ``im2col_batch`` allocates its result unless the caller
+hands it an ``out`` array to fill; ``col2im_batch`` always takes its scratch
+arrays (``gxpad``, ``u2p``) from the caller.  A returned array may be a view
+of such an array, whose earlier contents are overwritten.
+
+``im2col_batch`` takes any kernel, stride and padding, so the batched
+forward can be checked against ``conv2d_naive`` at any of them;
+``col2im_batch`` folds only the model's 3x3 stride-1 pad-1 conv.
 
 ``conv2d_naive`` evaluates the convolution sum directly with explicit loops
 and is the oracle for ``layers.conv_forward_batch``, the im2col + GEMM
@@ -120,58 +124,53 @@ def im2col_batch(x: np.ndarray, m: int, n: int, stride: int, padding: int,
     return out.reshape(c * m * n, b * h_out * w_out)
 
 
-def col2im_batch(weights: np.ndarray, u2: np.ndarray, x_shape: tuple[int, int, int, int],
-                 stride: int, padding: int, gxpad: np.ndarray | None = None,
-                 u2p: np.ndarray | None = None) -> np.ndarray:
-    """Input gradient [C, B, H, W] of a convolution: col2im(weights^T @ u2), fused.
+def col2im_batch(weights: np.ndarray, u2: np.ndarray, gxpad: np.ndarray,
+                 u2p: np.ndarray) -> np.ndarray:
+    """Input gradient [C, B, H, W] of the model's 3x3 stride-1 pad-1 conv: col2im(w^T @ u2).
 
-    ``u2`` is the output gradient as [K, B*P].  Each kernel tap (m, n), in
-    row-major order, adds weights[:, :, m, n]^T @ u2 to its shifted window of
-    the padded gradient ``gxpad`` [C, B, H+2p, W+2p], so the [C*M*N, B*P]
-    column gradient is never materialised.
+    ``u2`` is the output gradient as [K, B*H*W]; ``gxpad`` [C, B, H+2, W+2]
+    gives C, B, H and W.  Each kernel tap (m, n), in row-major order, adds
+    weights[:, :, m, n]^T @ u2 to its shifted window of the padded gradient
+    gxpad, so the [C*9, B*H*W] column gradient is never materialised.
 
-    The fold runs ``u2p.shape[1]`` samples at a time (the whole batch when
-    ``u2p`` is None).  It lays each slice of u2 on the padded grid ``u2p``
-    [K, S, H+2p, W+2p], output (i, j) at cell (i*stride, j*stride) and zero
-    elsewhere, so that a tap's window is one contiguous shifted 1-D range of
-    the flattened gxpad, and one GEMM computes the taps of a kernel row.
-    Every element receives the same products in the same tap order as a fold
-    through strided windows of gxpad, plus zeros from the grid's other cells,
-    which never change a partial sum: it starts at +0 and so is never -0.
-    The result therefore has a strided fold's bits wherever the kernel-row
-    GEMM sums each dot product over K as the per-tap GEMM would, as it does
-    for the model's shapes, and agrees with it within rounding in general.
-    ``gxpad`` and ``u2p`` are optional scratch arrays whose contents are
-    overwritten; the result is a view of gxpad.
+    The fold runs ``u2p.shape[1]`` samples at a time.  It lays each slice of
+    u2 at the top left of the (H+2)x(W+2) grid ``u2p`` [K, S, H+2, W+2], whose
+    last two rows and columns stay zero, so that a tap's window is one
+    contiguous shifted 1-D range of the flattened gxpad, and one GEMM
+    computes the three taps of a kernel row.  Every element receives the same
+    products in the same tap order as a fold through shifted windows of
+    gxpad, plus zeros from the grid's border, which never change a partial
+    sum: it starts at +0 and so is never -0.  The result therefore has that
+    fold's bits wherever the kernel-row GEMM sums each dot product over K as
+    the per-tap GEMM would, as it does for the model's shapes, and agrees
+    with it within rounding in general.  Both scratch arrays are overwritten;
+    the result is a view of gxpad.  Raises ShapeError unless weights is
+    [K, C, 3, 3] and every array fits.
     """
-    c, b, h, w = x_shape
-    k, _, m, n = weights.shape
-    h_out = _conv_out_size(h, m, stride, padding)
-    w_out = _conv_out_size(w, n, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dtype = np.result_type(weights, u2)
-    if gxpad is None:
-        gxpad = np.empty((c, b, hp, wp), dtype=dtype)
-    _check_scratch("col2im gxpad", gxpad, (c, b, hp, wp), dtype)
-    if u2p is None:
-        u2p = np.empty((k, b, hp, wp), dtype=u2.dtype)
+    c, b, hp, wp = gxpad.shape
+    h, w = hp - 2, wp - 2
+    k = weights.shape[0]
+    if min(h, w) < 1 or weights.shape != (k, c, 3, 3) or u2.shape != (k, b * h * w):
+        raise ShapeError(f"col2im: weights {weights.shape} and u2 {u2.shape} do not fit a "
+                         f"3x3 stride-1 pad-1 conv onto gxpad {gxpad.shape}")
+    _check_scratch("col2im gxpad", gxpad, (c, b, hp, wp), np.result_type(weights, u2))
     chunk = u2p.shape[1]
     _check_scratch("col2im u2p", u2p, (k, chunk, hp, wp), u2.dtype)
-    u2p[...] = 0
-    dilated = u2p[:, :, :(h_out - 1) * stride + 1:stride, :(w_out - 1) * stride + 1:stride]
-    grid = u2.reshape(k, b, h_out, w_out)
+    u2p[:, :, h:] = 0
+    u2p[:, :, :h, w:] = 0
+    grid = u2.reshape(k, b, h, w)
     flat = gxpad.reshape(c, b * hp * wp)
-    w_rows = weights.transpose(2, 3, 1, 0).reshape(m, n * c, k)   # one GEMM per kernel row
+    w_rows = weights.transpose(2, 3, 1, 0).reshape(3, 3 * c, k)   # one GEMM per kernel row
     for lo in range(0, b, chunk):
         rows = min(chunk, b - lo)
-        dilated[:, :rows] = grid[:, lo:lo + rows]
+        u2p[:, :rows, :h, :w] = grid[:, lo:lo + rows]
         src = u2p[:, :rows].reshape(k, -1)
         size = rows * hp * wp
         part = flat[:, lo * hp * wp:lo * hp * wp + size]
         part[...] = 0
-        for mi in range(m):
-            taps = (w_rows[mi] @ src).reshape(n, c, size)
-            for ni in range(n):
+        for mi in range(3):
+            taps = (w_rows[mi] @ src).reshape(3, c, size)
+            for ni in range(3):
                 shift = mi * wp + ni
                 part[:, shift:] += taps[ni, :, :size - shift]
-    return gxpad[:, :, padding:h + padding, padding:w + padding]
+    return gxpad[:, :, 1:h + 1, 1:w + 1]

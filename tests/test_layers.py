@@ -178,20 +178,30 @@ def test_dense_backward_matches_finite_difference():
     assert np.allclose(gx, num_x, rtol=1e-4, atol=1e-9)
 
 
+def fold_scratch(layer, x):
+    """Fresh col2im_batch scratch (gxpad, u2p) for the input gradient of layer at x."""
+    c, b, h, w = x.shape
+    k = layer.weights.shape[0]
+    return (np.empty((c, b, h + 2, w + 2), dtype=x.dtype),
+            np.empty((k, b, h + 2, w + 2), dtype=x.dtype))
+
+
 def conv_grads(layer, x, up):
-    """conv_backward_batch on the cache of conv_forward_batch(layer, x)."""
-    _, cache = conv_forward_batch(layer, x)
-    return conv_backward_batch(layer, up, cache)
+    """conv_backward_batch, input gradient included, on conv_forward_batch(layer, x)'s columns."""
+    _, cols = conv_forward_batch(layer, x)
+    return conv_backward_batch(layer, up, cols, *fold_scratch(layer, x))
 
 
 def test_conv_backward_identity_kernel_adjoint():
+    # a 3x3 kernel whose only nonzero weight is the centre tap scales x
     rng = Rng(11)
     x = rng.uniforms(1 * 3 * 3, -1, 1).reshape(1, 1, 3, 3).astype(np.float32)
-    layer = ConvLayer(np.full((1, 1, 1, 1), 0.7, dtype=np.float32),
-                      np.zeros(1, dtype=np.float32))
+    w = np.zeros((1, 1, 3, 3), dtype=np.float32)
+    w[0, 0, 1, 1] = 0.7
+    layer = ConvLayer(w, np.zeros(1, dtype=np.float32), 1, 1)
     up = np.ones((1, 1, 3, 3), dtype=np.float32)
     gw, gb, gx = conv_grads(layer, x, up)
-    assert gw[0, 0, 0, 0] == pytest.approx(float(x.sum()), rel=1e-6)
+    assert gw[0, 0, 1, 1] == pytest.approx(float(x.sum()), rel=1e-6)
     assert gb[0] == pytest.approx(9.0)
     assert np.allclose(gx, 0.7)
 
@@ -225,13 +235,13 @@ def test_batched_conv_matches_per_sample():
     w = rng.uniforms(3 * 2 * 3 * 3, -1, 1).reshape(3, 2, 3, 3).astype(np.float32)
     b = rng.uniforms(3, -1, 1).astype(np.float32)
     layer = ConvLayer(w, b, 1, 1)
-    out, cache = conv_forward_batch(layer, xs)          # channel-major: sample i is [:, i]
+    out, _ = conv_forward_batch(layer, xs)          # channel-major: sample i is [:, i]
     assert out.shape == (3, 4, 5, 5)
     for i in range(4):
         single, _ = conv_forward_batch(layer, xs[:, i:i + 1])
         assert np.allclose(out[:, i], single[:, 0], atol=1e-6)
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape).astype(np.float32)
-    gw, gb, gx = conv_backward_batch(layer, up, cache)
+    gw, gb, gx = conv_grads(layer, xs, up)
     gw_sum = np.zeros_like(gw)
     gb_sum = np.zeros_like(gb)
     for i in range(4):
@@ -249,12 +259,27 @@ def test_conv_backward_without_input_grad():
     x = rng.uniforms(2 * 3 * 7 * 7, -1, 1).reshape(2, 3, 7, 7).astype(np.float32)
     layer = ConvLayer(rng.uniforms(4 * 2 * 3 * 3, -1, 1).reshape(4, 2, 3, 3).astype(np.float32),
                       rng.uniforms(4, -1, 1).astype(np.float32), 1, 1)
-    out, cache = conv_forward_batch(layer, x)
+    out, cols = conv_forward_batch(layer, x)
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape).astype(np.float32)
-    gw, gb, gx = conv_backward_batch(layer, up, cache)
-    gw0, gb0, gx0 = conv_backward_batch(layer, up, cache, need_input_grad=False)
+    gw, gb, gx = conv_backward_batch(layer, up, cols, *fold_scratch(layer, x))
+    gw0, gb0, gx0 = conv_backward_batch(layer, up, cols)
     assert gx0 is None and gx.shape == x.shape
     assert gw0.tobytes() == gw.tobytes() and gb0.tobytes() == gb.tobytes()
+
+
+def test_conv_backward_refuses_input_grad_off_the_model_shape():
+    # a 3x3 conv at stride 2, padding 3 also keeps a 4x4 map's H and W, so the
+    # fold's shape check alone would pass it; its weight gradient is still given
+    rng = Rng(15)
+    x = rng.uniforms(2 * 1 * 4 * 4, -1, 1).reshape(2, 1, 4, 4).astype(np.float32)
+    layer = ConvLayer(rng.uniforms(3 * 2 * 9, -1, 1).reshape(3, 2, 3, 3).astype(np.float32),
+                      np.zeros(3, dtype=np.float32), stride=2, padding=3)
+    out, cols = conv_forward_batch(layer, x)
+    assert out.shape == (3, 1, 4, 4)
+    with pytest.raises(ShapeError, match="stride 2, padding 3"):
+        conv_backward_batch(layer, out, cols, *fold_scratch(layer, x))
+    gw, gb, gx = conv_backward_batch(layer, out, cols)
+    assert gw.shape == layer.weights.shape and gx is None
 
 
 # --- ReLU after max pooling ---

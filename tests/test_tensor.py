@@ -76,102 +76,109 @@ def test_im2col_padding_corner_zeros():
     assert corner[3] == 1.0
 
 
-def col2im_reference(cols, x_shape, m, n, stride, padding):
-    """Adjoint of im2col_batch by explicit loops: fold [C*M*N, B*P] onto [C, B, H, W]."""
+def col2im_reference(cols, x_shape):
+    """Adjoint of im2col_batch at 3x3/s1/p1 by explicit loops: [C*9, B*H*W] onto [C, B, H, W]."""
     c, b, h, w = x_shape
-    h_out = (h + 2 * padding - m) // stride + 1
-    w_out = (w + 2 * padding - n) // stride + 1
-    g = cols.reshape(c, m, n, b, h_out, w_out)
-    gx = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    g = cols.reshape(c, 3, 3, b, h, w)
+    gx = np.zeros((c, b, h + 2, w + 2), dtype=np.float64)
     for ci, mi, ni, bi, i, j in np.ndindex(g.shape):
-        gx[ci, bi, i * stride + mi, j * stride + ni] += g[ci, mi, ni, bi, i, j]
-    return gx[:, :, padding:padding + h, padding:padding + w]
+        gx[ci, bi, i + mi, j + ni] += g[ci, mi, ni, bi, i, j]
+    return gx[:, :, 1:h + 1, 1:w + 1]
 
 
-def strided_fold_reference(weights, u2, x_shape, stride, padding):
-    """Tap-by-tap fold of weights^T @ u2 through strided windows of a zeroed gxpad."""
+def shifted_fold_reference(weights, u2, x_shape):
+    """Tap-by-tap fold of weights^T @ u2 through shifted windows of a zeroed gxpad."""
     c, b, h, w = x_shape
-    _, _, m, n = weights.shape
-    h_out = (h + 2 * padding - m) // stride + 1
-    w_out = (w + 2 * padding - n) // stride + 1
-    gxpad = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=u2.dtype)
-    for mi in range(m):
-        for ni in range(n):
+    gxpad = np.zeros((c, b, h + 2, w + 2), dtype=u2.dtype)
+    for mi in range(3):
+        for ni in range(3):
             tap = weights[:, :, mi, ni].T @ u2
-            gxpad[:, :, mi:mi + (h_out - 1) * stride + 1:stride,
-                  ni:ni + (w_out - 1) * stride + 1:stride] += tap.reshape(c, b, h_out, w_out)
-    return gxpad[:, :, padding:padding + h, padding:padding + w]
+            gxpad[:, :, mi:mi + h, ni:ni + w] += tap.reshape(c, b, h, w)
+    return gxpad[:, :, 1:h + 1, 1:w + 1]
+
+
+def fold(weights, u2, x_shape, chunk, fill=(np.nan, 1e30)):
+    """col2im_batch with scratch arrays pre-filled with garbage; checks it returns a gxpad view."""
+    c, b, h, w = x_shape
+    gxpad = np.full((c, b, h + 2, w + 2), fill[0], dtype=u2.dtype)
+    u2p = np.full((weights.shape[0], chunk, h + 2, w + 2), fill[1], dtype=u2.dtype)
+    out = col2im_batch(weights, u2, gxpad, u2p)
+    assert out.shape == x_shape and np.shares_memory(out, gxpad)
+    return out
+
+
+def random_fold_case(rng, x_shape, k):
+    c, b, h, w = x_shape
+    weights = rng.uniforms(k * c * 9, -1, 1).reshape(k, c, 3, 3).astype(np.float32)
+    u2 = rng.uniforms(k * b * h * w, -1, 1).reshape(k, -1).astype(np.float32)
+    return weights, u2
+
+
+def assert_fold_is_im2col_adjoint(rng, weights, u2, x_shape):
+    # <im2col(x), G> == <x, col2im(G)> in float64
+    x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
+    w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
+    lhs = float((im2col_batch(x, 3, 3, 1, 1) * (w64.reshape(len(w64), -1).T @ u64)).sum())
+    rhs = float((x * fold(w64, u64, x_shape, 2)).sum())
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_fused_col2im_matches_explicit_column_gradient():
     # col2im_batch folds weights^T @ u2 tap by tap on the padded grid, in
     # slices of u2p.shape[1] samples, into scratch arrays that start out full
-    # of garbage; on these shapes it gives the strided fold's bits, and the
-    # reference that builds the [C*M*N, B*P] column gradient first and folds
+    # of garbage; on these shapes it gives the shifted fold's bits, and the
+    # reference that builds the [C*9, B*H*W] column gradient first and folds
     # it with loops agrees within rounding
-    cases = [(3, 2, 6, 5, 4, 3, 3, 1, 1), (2, 3, 7, 7, 5, 3, 3, 2, 1), (4, 1, 5, 6, 3, 2, 2, 1, 0),
-             (3, 5, 6, 7, 4, 3, 3, 1, 0), (2, 4, 5, 5, 3, 3, 2, 1, 2), (4, 7, 8, 6, 5, 2, 3, 1, 1)]
-    for seed, (c, b, h, w, k, m, n, stride, pad) in enumerate(cases):
+    cases = [(3, 2, 6, 5, 4), (2, 3, 7, 7, 5), (4, 1, 5, 6, 3), (3, 5, 6, 7, 4),
+             (2, 4, 1, 1, 3), (4, 7, 8, 6, 5)]
+    for seed, (c, b, h, w, k) in enumerate(cases):
         rng = Rng(50 + seed)
         x_shape = (c, b, h, w)
-        weights = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
-        h_out = (h + 2 * pad - m) // stride + 1
-        w_out = (w + 2 * pad - n) // stride + 1
-        u2 = rng.uniforms(k * b * h_out * w_out, -1, 1).reshape(k, -1).astype(np.float32)
+        weights, u2 = random_fold_case(rng, x_shape, k)
         u2[:, ::3] = 0.0
         u2[:, 1::5] = -0.0                     # signed zeros, as the pool backward routes them
-        strided = strided_fold_reference(weights, u2, x_shape, stride, pad)
-        grid = (h + 2 * pad, w + 2 * pad)
+        shifted = shifted_fold_reference(weights, u2, x_shape)
         for chunk in (1, 2, b):
-            gxpad = np.full((c, b, *grid), np.nan, dtype=np.float32)
-            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32)
-            fused = col2im_batch(weights, u2, x_shape, stride, pad, gxpad=gxpad, u2p=u2p)
-            assert fused.shape == x_shape and np.shares_memory(fused, gxpad)
-            assert np.array_equal(fused.view(np.uint32), strided.view(np.uint32))
-        fused = col2im_batch(weights, u2, x_shape, stride, pad)
-        assert fused.shape == x_shape and fused.dtype == np.float32
-        assert np.array_equal(fused.view(np.uint32), strided.view(np.uint32))
-        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, n, stride, pad)
+            fused = fold(weights, u2, x_shape, chunk)
+            assert np.array_equal(fused.view(np.uint32), shifted.view(np.uint32))
+        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape)
         assert np.max(np.abs(fused - ref)) < 1e-6
-        # and it is the adjoint of im2col_batch: <im2col(x), G> == <x, col2im(G)>
-        x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
-        cols = im2col_batch(x, m, n, stride, pad)
-        w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
-        lhs = float((cols * (w64.reshape(k, -1).T @ u64)).sum())
-        u2p = np.empty((k, 2, *grid))
-        rhs = float((x * col2im_batch(w64, u64, x_shape, stride, pad, u2p=u2p)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        assert_fold_is_im2col_adjoint(rng, weights, u2, x_shape)
 
 
 def test_fold_random_shapes_match_loop_reference():
-    # a seeded sweep of strides 1-3, paddings 0-2 and slice sizes 1, 2 and B;
-    # the kernel-row GEMM can sum a dot product unlike the per-tap GEMM of a
-    # strided fold, so this holds the fold to the loop reference within
-    # rounding and to the adjoint identity, not to a strided fold's bits
+    # a seeded sweep of channels, filters, batches, map sizes from 1x1 and
+    # slice sizes 1, 2 and B; the kernel-row GEMM can sum a dot product
+    # unlike the per-tap GEMM of a shifted fold, so this holds the fold to
+    # the loop reference within rounding and to the adjoint identity
     for seed in range(100):
         rng = Rng(3000 + seed)
         c, b, k = 1 + rng.randint(3), 1 + rng.randint(4), 1 + rng.randint(4)
-        m, n = 1 + rng.randint(3), 1 + rng.randint(3)
-        stride, pad = 1 + rng.randint(3), rng.randint(3)
-        h, w = max(1, m - 2 * pad) + rng.randint(6), max(1, n - 2 * pad) + rng.randint(6)
-        x_shape = (c, b, h, w)
-        h_out = (h + 2 * pad - m) // stride + 1
-        w_out = (w + 2 * pad - n) // stride + 1
-        weights = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
-        u2 = rng.uniforms(k * b * h_out * w_out, -1, 1).reshape(k, -1).astype(np.float32)
-        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape, m, n, stride, pad)
-        grid = (h + 2 * pad, w + 2 * pad)
+        x_shape = (c, b, 1 + rng.randint(6), 1 + rng.randint(6))
+        weights, u2 = random_fold_case(rng, x_shape, k)
+        ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape)
         for chunk in {1, 2, b}:
-            gxpad = np.full((c, b, *grid), np.nan, dtype=np.float32)
-            u2p = np.full((k, chunk, *grid), 1e30, dtype=np.float32)
-            fused = col2im_batch(weights, u2, x_shape, stride, pad, gxpad=gxpad, u2p=u2p)
-            assert fused.shape == x_shape
-            assert np.max(np.abs(fused - ref)) < 1e-6, (seed, x_shape, k, m, n, stride, pad)
-        x = rng.uniforms(int(np.prod(x_shape)), -1, 1).reshape(x_shape)
-        w64, u64 = weights.astype(np.float64), u2.astype(np.float64)
-        lhs = float((im2col_batch(x, m, n, stride, pad) * (w64.reshape(k, -1).T @ u64)).sum())
-        rhs = float((x * col2im_batch(w64, u64, x_shape, stride, pad)).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+            fused = fold(weights, u2, x_shape, chunk)
+            assert np.max(np.abs(fused - ref)) < 1e-6, (seed, x_shape, k, chunk)
+        assert_fold_is_im2col_adjoint(rng, weights, u2, x_shape)
+
+
+def test_fold_rejects_other_conv_shapes():
+    rng = Rng(60)
+    x_shape = (2, 3, 4, 5)
+    weights, u2 = random_fold_case(rng, x_shape, 4)
+    gxpad = np.empty((2, 3, 6, 7), dtype=np.float32)
+    u2p = np.empty((4, 2, 6, 7), dtype=np.float32)
+    with pytest.raises(ShapeError, match="col2im"):
+        col2im_batch(weights[:, :, 1:2, 1:2], u2, gxpad, u2p)     # a [K, C, 1, 1] kernel
+    with pytest.raises(ShapeError, match="col2im"):
+        col2im_batch(weights, u2[:, :-1], gxpad, u2p)             # u2 one column short
+    with pytest.raises(ShapeError, match="col2im"):                # a grid too small for a map
+        col2im_batch(weights, u2[:, :3], gxpad[:, :, :1, :1], u2p[:, :, :1, :1])
+    with pytest.raises(ShapeError, match="col2im u2p"):
+        col2im_batch(weights, u2, gxpad, u2p[:, :, :-1])
+    assert np.array_equal(fold(weights, u2, x_shape, 2),
+                          shifted_fold_reference(weights, u2, x_shape))
 
 
 def test_conv_fast_matches_naive_randomized():
