@@ -53,6 +53,12 @@ class GenConfig:
             lo, hi = getattr(self, name)
             if lo not in GLYPHS or hi not in GLYPHS:
                 raise ValueError(f"{name} must lie within the digits 0..9, got ({lo}, {hi})")
+        # the comparisons are False for NaN, so a NaN range is rejected too
+        for name, rule in (("font_scale_range", "> 0"), ("noise_sigma_range", ">= 0"),
+                           ("blur_sigma_range", ">= 0")):
+            lo, hi = getattr(self, name)
+            if not ((lo > 0.0 if rule == "> 0" else lo >= 0.0) and hi < math.inf):
+                raise ValueError(f"{name} must be finite and {rule}, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,10 @@ def write_dataset(dataset: Dataset, path: str,
         raise ValueError(
             f"sample {i} labels ({dataset[i].base_label}, {dataset[i].exp_label}) outside the "
             f"{n_base} base / {n_exp} exp classes of base {base_range} / exp {exp_range}")
+    bad = ~np.isfinite(dataset.meta).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"sample {i} metadata {dataset[i].meta} is not finite")
     records = np.empty(len(dataset), record_dtype(h, w))
     for lo in range(0, len(dataset), WRITE_ROWS):
         rows = slice(lo, lo + WRITE_ROWS)
@@ -151,6 +155,12 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
                     f"{path}: sample {lo + i} labels ({records['base'][i]}, "
                     f"{records['exp'][i]}) at offset {start + (lo + i) * size + h * w} "
                     f"outside the header's base {base_range} / exp {exp_range}")
+            bad = ~np.isfinite(records["meta"]).all(axis=1)
+            if bad.any():
+                i = int(bad.argmax())
+                raise FileFormatError(
+                    f"{path}: sample {lo + i} metadata {tuple(records['meta'][i].tolist())} at "
+                    f"offset {start + (lo + i) * size + h * w + 2} is not finite")
             rows = slice(lo, lo + len(records))
             dataset.images[rows] = records["pixels"]
             dataset.images[rows] /= 255.0

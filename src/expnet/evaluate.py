@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .datagen import Dataset, GenConfig, generate_dataset
 from .losses import softmax_ce_batch
-from .model import MultiOutputModel, Workspace
+from .model import N_BASE_CLASSES, N_EXP_CLASSES, MultiOutputModel, Workspace
 from .rng import Rng
 
 EVAL_CHUNK = 256
@@ -50,9 +51,8 @@ def evaluate(model: MultiOutputModel, dataset: Dataset,
     base_pred, exp_pred = np.concatenate(base_pred), np.concatenate(exp_pred)
     b_ok = base_pred == dataset.base_labels
     e_ok = exp_pred == dataset.exp_labels
-    n_base, n_exp = model.arch.n_base, model.arch.n_exp
-    base_conf = np.zeros((n_base, n_base), dtype=np.int64)
-    exp_conf = np.zeros((n_exp, n_exp), dtype=np.int64)
+    base_conf = np.zeros((N_BASE_CLASSES, N_BASE_CLASSES), dtype=np.int64)
+    exp_conf = np.zeros((N_EXP_CLASSES, N_EXP_CLASSES), dtype=np.int64)
     np.add.at(base_conf, (dataset.base_labels, base_pred), 1)
     np.add.at(exp_conf, (dataset.exp_labels, exp_pred), 1)
     return EvalReport(int(b_ok.sum()) / n, int(e_ok.sum()) / n, int((b_ok & e_ok).sum()) / n,
@@ -71,8 +71,8 @@ def robustness_sweep(model: MultiOutputModel, base_config: GenConfig, attribute:
     """Evaluate on fresh test sets with one corruption attribute pinned per level."""
     if attribute not in ("noise", "blur"):
         raise ValueError(f"attribute must be 'noise' or 'blur', got {attribute!r}")
-    if any(lv < 0 for lv in levels):
-        raise ValueError("levels must be non-negative")
+    if not all(0.0 <= lv < math.inf for lv in levels):
+        raise ValueError(f"levels must be finite and non-negative, got {levels}")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be sorted ascending")
     results = []

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import softmax_ce_batch
-from .model import MultiOutputModel
+from .model import N_BASE_CLASSES, N_EXP_CLASSES, TINY_ARCH, MultiOutputModel
+from .rng import Rng
 from .train import batch_loss_and_grads
 
 DENOM_FLOOR = 1e-8
@@ -111,7 +112,6 @@ def probe_inputs(arch_input_hw: tuple[int, int], seed: int) -> np.ndarray:
     pre-activation of a zero-bias model on the ReLU kink; a dense random
     image keeps the excluded fraction small.
     """
-    from .rng import Rng
     h, w = arch_input_hw
     return Rng(seed).uniforms(h * w, 0.05, 1.0).reshape(1, h, w).astype(np.float32)
 
@@ -122,12 +122,10 @@ def build_probe(seed: int = 4):
     Biases get a small positive offset so pre-activations sit away from the
     ReLU kinks; seed 4 yields zero excluded elements on the tiny architecture.
     """
-    from .model import TINY_ARCH
-    from .rng import Rng
     model = MultiOutputModel.init(TINY_ARCH, seed)
     r = Rng(1000 + seed)
     for name, arr in model.parameters():
         if name.endswith("bias"):
             arr += r.uniforms(arr.size, 0.1, 0.4).astype(arr.dtype).reshape(arr.shape)
     image = probe_inputs(TINY_ARCH.input_hw, seed)
-    return model, image, seed % TINY_ARCH.n_base, seed % TINY_ARCH.n_exp
+    return model, image, seed % N_BASE_CLASSES, seed % N_EXP_CLASSES

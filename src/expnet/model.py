@@ -47,15 +47,14 @@ class Architecture:
 
     Every conv stage is a KERNEL x KERNEL convolution at stride 1 with padding
     1, which keeps H and W, followed by 2x2 max pooling at stride 2, which
-    floors an odd map.  Neither has fields: the descriptor's
-    ``kernel 3 stride 1 pad 1`` and ``pool 2 stride 2`` lines record them.
+    floors an odd map; the heads score N_BASE_CLASSES and N_EXP_CLASSES.  None
+    of these has fields: the descriptor's ``kernel 3 stride 1 pad 1``,
+    ``pool 2 stride 2`` and ``heads 8 10`` lines record them.
     """
 
     input_hw: tuple[int, int] = (64, 64)
     conv_channels: tuple[int, ...] = (32, 64)
     dense_width: int = 128
-    n_base: int = N_BASE_CLASSES
-    n_exp: int = N_EXP_CLASSES
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
         """[C, H, W] after the input and after each conv + 2x2 pool stage."""
@@ -82,8 +81,8 @@ class Architecture:
             layers.append((f"conv{i}", (out_c, in_c, KERNEL, KERNEL)))
             in_c = out_c
         layers += [("dense", (self.dense_width, self.feature_size())),
-                   ("base_head", (self.n_base, self.dense_width)),
-                   ("exp_head", (self.n_exp, self.dense_width))]
+                   ("base_head", (N_BASE_CLASSES, self.dense_width)),
+                   ("exp_head", (N_EXP_CLASSES, self.dense_width))]
         shapes = []
         for name, w_shape in layers:
             shapes += [(f"{name}.weights", w_shape), (f"{name}.bias", w_shape[:1])]
@@ -96,7 +95,7 @@ class Architecture:
             f"kernel {KERNEL} stride 1 pad 1",
             "pool 2 stride 2",
             f"dense {self.dense_width}",
-            f"heads {self.n_base} {self.n_exp}",
+            f"heads {N_BASE_CLASSES} {N_EXP_CLASSES}",
         ])
 
     @classmethod
@@ -104,8 +103,8 @@ class Architecture:
         """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
 
         Every size, kernel, stride and pool field must be positive, the padding
-        non-negative, the lines ``kernel 3 stride 1 pad 1`` and ``pool 2 stride
-        2``, and each stage must leave a non-empty map.
+        non-negative, the lines ``kernel 3 stride 1 pad 1``, ``pool 2 stride 2``
+        and ``heads 8 10``, and each stage must leave a non-empty map.
         """
         try:
             fields = {}
@@ -116,13 +115,10 @@ class Architecture:
                 input_hw=(int(fields["input"][0]), int(fields["input"][1])),
                 conv_channels=tuple(int(c) for c in fields["conv"]),
                 dense_width=int(fields["dense"][0]),
-                n_base=int(fields["heads"][0]),
-                n_exp=int(fields["heads"][1]),
             )
             conv = tuple(int(fields["kernel"][i]) for i in (0, 2, 4))
             pool = (int(fields["pool"][0]), int(fields["pool"][2]))
-            sizes = (*arch.input_hw, *arch.conv_channels, *conv[:2], *pool,
-                     arch.dense_width, arch.n_base, arch.n_exp)
+            sizes = (*arch.input_hw, *arch.conv_channels, *conv[:2], *pool, arch.dense_width)
             if min(sizes) < 1 or conv[2] < 0:
                 raise ValueError("a size, kernel, stride or pool field is not positive, "
                                  "or the padding is negative")
@@ -132,6 +128,9 @@ class Architecture:
             if pool != (2, 2):
                 raise ValueError(f"pool {pool[0]} stride {pool[1]}: only 2x2 pooling at "
                                  "stride 2 is supported")
+            if tuple(int(n) for n in fields["heads"]) != (N_BASE_CLASSES, N_EXP_CLASSES):
+                raise ValueError(f"heads {' '.join(fields['heads'])}: only {N_BASE_CLASSES} base "
+                                 f"and {N_EXP_CLASSES} exponent classes are supported")
             if min(min(shape) for shape in arch.stage_shapes()) < 1:
                 raise ValueError(f"stages {arch.stage_shapes()} leave an empty map")
         except (KeyError, IndexError, ValueError) as exc:
@@ -248,7 +247,7 @@ class MultiOutputModel:
 
     def forward_batch(self, x: np.ndarray, need_trace: bool = True,
                       workspace: Workspace | None = None):
-        """[B, 1, H, W] -> (base logits [B, n_base], exp logits [B, n_exp], trace).
+        """[B, 1, H, W] -> (base logits [B, 8], exp logits [B, 10], trace).
 
         The trunk runs channel-major, [C, B, H, W], TRUNK_CHUNK samples at a
         time, and applies each ReLU after its max pool: max is monotone, so

@@ -23,15 +23,12 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: list[np.ndarray], lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def init(cls, params: list[np.ndarray], lr: float = 1e-3) -> "AdamState":
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
-def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float,
-                        eps_name: str = "eps") -> None:
+def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float) -> None:
     """Raise ValueError naming the first setting with which an update goes wrong or NaN.
 
     The chained comparisons are False for NaN, so a NaN is rejected too.
@@ -39,7 +36,7 @@ def check_adam_settings(lr: float, beta1: float, beta2: float, eps: float,
     for name, value, rule, ok in (("lr", lr, "finite and > 0", 0.0 < lr < math.inf),
                                   ("beta1", beta1, "in [0, 1)", 0.0 <= beta1 < 1.0),
                                   ("beta2", beta2, "in [0, 1)", 0.0 <= beta2 < 1.0),
-                                  (eps_name, eps, "finite and > 0", 0.0 < eps < math.inf)):
+                                  ("eps", eps, "finite and > 0", 0.0 < eps < math.inf)):
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value}")
 

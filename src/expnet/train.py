@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,39 +20,34 @@ from .datagen import Dataset
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
 from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
-from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
-from .optim import AdamState, adam_step, check_adam_settings
+from .model import (DEFAULT_ARCH, N_BASE_CLASSES, N_EXP_CLASSES, Architecture,
+                    MultiOutputModel, Workspace)
+from .optim import AdamState, adam_step
 from .rng import Rng
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings ``expnet train`` takes; Adam's betas and eps are AdamState's defaults."""
+
     epochs: int = 50
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     early_stop_patience: int = 5
-    early_stop_min_delta: float = 1e-4
-    validation_fraction: float = 0.1
     seed: int = 0
+
+    early_stop_min_delta: ClassVar[float] = 1e-4
+    validation_fraction: ClassVar[float] = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
         if self.early_stop_patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.early_stop_patience}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_adam_settings(self.lr, self.beta1, self.beta2, self.adam_eps, eps_name="adam_eps")
-        # a NaN would make every epoch a bad one without saying so
-        if not 0.0 <= self.early_stop_min_delta < math.inf:
-            raise ValueError(f"early_stop_min_delta must be finite and >= 0, "
-                             f"got {self.early_stop_min_delta}")
+        if not 0.0 < self.lr < math.inf:    # False for NaN too
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -117,7 +113,7 @@ def train(dataset: Dataset, config: TrainConfig,
     n_val = max(1, int(round(config.validation_fraction * n)))
     if n_val >= n:
         raise ValueError(f"validation split leaves no training data (n={n})")
-    if dataset.base_labels.max() >= arch.n_base or dataset.exp_labels.max() >= arch.n_exp:
+    if dataset.base_labels.max() >= N_BASE_CLASSES or dataset.exp_labels.max() >= N_EXP_CLASSES:
         raise ValueError("dataset labels exceed the model's head widths")
 
     rng = Rng(config.seed)
@@ -131,8 +127,7 @@ def train(dataset: Dataset, config: TrainConfig,
         model = initial_model
     params = model.param_arrays()
     if initial_adam is None:
-        adam = AdamState.init(params, lr=config.lr, beta1=config.beta1,
-                              beta2=config.beta2, eps=config.adam_eps)
+        adam = AdamState.init(params, lr=config.lr)
     else:
         adam = initial_adam
 

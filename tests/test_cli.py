@@ -7,10 +7,11 @@ import pytest
 
 import expnet
 from expnet import model as model_module
-from expnet.checkpoint import read_checkpoint
+from expnet.checkpoint import read_checkpoint, write_checkpoint
 from expnet.cli import cli_main
 from expnet.dataio import read_dataset
 from expnet.losses import softmax
+from expnet.model import TINY_ARCH, MultiOutputModel
 
 
 def test_generate_then_hist_conserves_counts(tmp_path, capsys):
@@ -154,6 +155,23 @@ def test_train_rejects_bad_lr_before_writing(tmp_path, capsys):
                          "--lr", lr]) == 1
         assert capsys.readouterr().err.startswith("error: lr ")
         assert not model.exists()
+
+
+def test_non_finite_ranges_rejected_before_any_work(tmp_path, capsys):
+    data = tmp_path / "d.bin"
+    for flag, value, field in (("--blur-max", "inf", "blur_sigma_range"),
+                               ("--noise-max", "nan", "noise_sigma_range"),
+                               ("--font-min", "0", "font_scale_range")):
+        assert cli_main(["generate", "--count", "2", "--seed", "1", "--out", str(data),
+                         flag, value]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not data.exists()
+    model = str(tmp_path / "m.ckpt")
+    write_checkpoint(MultiOutputModel.init(TINY_ARCH, 0), model)
+    for levels in ("nan", "0,inf"):
+        assert cli_main(["sweep", "--model", model, "--attr", "blur", "--levels", levels,
+                         "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: levels must be finite")
 
 
 def test_bad_magic_reported_as_error(tmp_path, capsys):

@@ -191,6 +191,18 @@ def test_config_rejects_ranges_outside_the_digits(field, digits):
     GenConfig(**{field: (0, 9)})
 
 
+@pytest.mark.parametrize("field, bounds, rule", [
+    ("font_scale_range", (0.0, 3.0), "> 0"), ("font_scale_range", (-1.0, 3.0), "> 0"),
+    ("font_scale_range", (2.0, math.inf), "> 0"), ("font_scale_range", (math.nan, 3.0), "> 0"),
+    ("noise_sigma_range", (-0.1, 0.3), ">= 0"), ("noise_sigma_range", (0.0, math.nan), ">= 0"),
+    ("noise_sigma_range", (math.nan, math.nan), ">= 0"),
+    ("blur_sigma_range", (0.0, math.inf), ">= 0"), ("blur_sigma_range", (-math.inf, 1.0), ">= 0"),
+])
+def test_config_rejects_non_finite_or_negative_ranges(field, bounds, rule):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and {rule}, got"):
+        GenConfig(**{field: bounds})
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         GenConfig(count=0)

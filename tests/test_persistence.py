@@ -145,6 +145,27 @@ def test_dataset_label_out_of_range_rejected(tmp_path):
         read_dataset(str(path))
 
 
+def test_dataset_non_finite_metadata_rejected(tmp_path):
+    # sample 1025 is in the reader's second slice of WRITE_ROWS records
+    n, i = WRITE_ROWS + 4, WRITE_ROWS + 1
+    ds = Dataset(np.zeros((n, 1, 4, 4), np.float32), np.arange(n) % 8, np.arange(n) % 10,
+                 np.ones((n, 3), np.float32))
+    path = tmp_path / "d.bin"
+    ds.meta[i, 1] = np.nan
+    with pytest.raises(ValueError, match=f"sample {i} metadata \\(1.0, nan, 1.0\\) is not"):
+        write_dataset(ds, str(path))
+    assert not path.exists()
+    ds.meta[i, 1] = 1.0
+    write_dataset(ds, str(path))
+    whole = path.read_bytes()
+    meta_at = 24 + i * (4 * 4 + 14) + 4 * 4 + 2
+    for bad in (np.nan, np.inf):
+        path.write_bytes(whole[:meta_at + 4] + struct.pack("<f", bad) + whole[meta_at + 8:])
+        with pytest.raises(FileFormatError, match=f"d.bin: sample {i} metadata \\(1.0, {bad}, "
+                                                  f"1.0\\) at offset {meta_at} is not finite"):
+            read_dataset(str(path))
+
+
 def test_dataset_zero_count_rejected(tmp_path):
     ds = generate_dataset(GenConfig(count=1, master_seed=5))
     path = tmp_path / "d.bin"
@@ -319,8 +340,10 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
     (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 1 pad 0"),
      "only 3x3 convolution"),
     (lambda d: d.replace(b"input 16 16", b"input 16 1"), "empty map"),
+    (lambda d: d.replace(b"heads 8 10", b"heads 7 10"),
+     "heads 7 10: only 8 base and 10 exponent classes"),
 ], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input", "pool-3-stride-3",
-        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map"])
+        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map", "heads-7-10"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))
@@ -334,7 +357,9 @@ def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lr", math.nan), ("lr", 0.0), ("beta1", 1.0), ("beta2", -0.5), ("eps", math.inf),
+    ("lr", math.nan), ("lr", 0.0), ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+    ("beta2", -0.5), ("beta2", -1e-9), ("beta2", 1.0), ("eps", math.inf), ("eps", 0.0),
+    ("eps", -1e-8),
 ])
 def test_checkpoint_unusable_adam_settings_rejected(tmp_path, field, value):
     # Adam with any of these silently turns every parameter NaN or steps it backwards

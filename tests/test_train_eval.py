@@ -64,17 +64,10 @@ def test_train_rejects_bad_inputs():
 
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
-    ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
-    ("beta2", 1.0), ("beta2", -1e-9),
-    ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.inf),
-    ("early_stop_min_delta", math.nan), ("early_stop_min_delta", -1.0),
-    ("early_stop_min_delta", math.inf),
 ])
 def test_train_config_rejects_bad_adam_settings(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         TrainConfig(epochs=1, **{field: value})
-    # the intervals' closed ends are valid
-    TrainConfig(epochs=1, beta1=0.0, beta2=0.0, early_stop_min_delta=0.0)
 
 
 def test_history_csv_round_trips_floats():
