@@ -22,7 +22,7 @@ from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
 from .model import (DEFAULT_ARCH, N_BASE_CLASSES, N_EXP_CLASSES, Architecture,
                     MultiOutputModel, Workspace)
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, check_adam_settings
 from .rng import Rng
 
 
@@ -107,7 +107,8 @@ def train(dataset: Dataset, config: TrainConfig,
 
     Resuming at start_epoch k with the state saved after k epochs replays the
     exact same remaining epochs as an uninterrupted run; early-stopping
-    counters start fresh on resume.
+    counters start fresh on resume. An initial_adam whose lr, betas or eps
+    would turn the parameters NaN or step them backwards raises ValueError.
     """
     n = len(dataset)
     n_val = max(1, int(round(config.validation_fraction * n)))
@@ -129,6 +130,8 @@ def train(dataset: Dataset, config: TrainConfig,
     if initial_adam is None:
         adam = AdamState.init(params, lr=config.lr)
     else:
+        check_adam_settings(initial_adam.lr, initial_adam.beta1, initial_adam.beta2,
+                            initial_adam.eps)
         adam = initial_adam
 
     workspace = Workspace()   # scratch of the steps and validation, freed on return

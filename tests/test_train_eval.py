@@ -7,6 +7,7 @@ import expnet.train as train_mod
 from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.evaluate import EvalReport, evaluate, histogram, robustness_sweep
 from expnet.model import Architecture, MultiOutputModel, TINY_ARCH
+from expnet.optim import AdamState
 from expnet.rng import Rng
 from expnet.train import EpochRecord, TrainConfig, history_csv, train
 
@@ -64,10 +65,21 @@ def test_train_rejects_bad_inputs():
 
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
+    ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
+    ("beta2", 1.0), ("beta2", -1e-9),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8), ("adam_eps", math.inf),
 ])
 def test_train_config_rejects_bad_adam_settings(field, value):
-    with pytest.raises(ValueError, match=f"^{field} "):
-        TrainConfig(epochs=1, **{field: value})
+    if field == "lr":
+        with pytest.raises(ValueError, match="^lr "):
+            TrainConfig(epochs=1, lr=value)
+        return
+    # the betas and eps are no TrainConfig fields; a resumed run's Adam state carries them
+    name = field.removeprefix("adam_")
+    state = AdamState.init(MultiOutputModel.init(SMALL_ARCH, 0).param_arrays())
+    setattr(state, name, value)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        train(small_dataset(30, 8), TrainConfig(epochs=1), arch=SMALL_ARCH, initial_adam=state)
 
 
 def test_history_csv_round_trips_floats():
