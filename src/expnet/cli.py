@@ -14,7 +14,7 @@ from .errors import ExpnetError
 from .evaluate import evaluate, histogram, robustness_sweep
 from .gradcheck import build_probe, gradient_check
 from .losses import softmax
-from .model import model_forward
+from .model import BASE_DIGITS, EXP_DIGITS, model_forward
 from .train import TrainConfig, history_csv, train
 
 
@@ -81,7 +81,7 @@ def _cmd_generate(args) -> int:
                        blur_sigma_range=(0.0, args.blur_max),
                        master_seed=args.seed)
     samples = generate_dataset(config)
-    write_dataset(samples, args.out, config.base_range, config.exp_range)
+    write_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
@@ -153,11 +153,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    dataset, header = read_dataset(args.data)
+    dataset, _ = read_dataset(args.data)
     if args.attr == "base":
-        buckets = histogram((header.base_range[0] + dataset.base_labels).tolist())
+        buckets = histogram((BASE_DIGITS[0] + dataset.base_labels).tolist())
     elif args.attr == "exponent":
-        buckets = histogram((header.exp_range[0] + dataset.exp_labels).tolist())
+        buckets = histogram((EXP_DIGITS[0] + dataset.exp_labels).tolist())
     else:
         idx = 1 if args.attr == "noise" else 2
         buckets = histogram(dataset.meta[:, idx], bins=args.bins)
@@ -175,7 +175,7 @@ def _cmd_hist(args) -> int:
 
 def _cmd_predict(args) -> int:
     model, _ = read_checkpoint(args.model)
-    samples, header = read_dataset(args.data)
+    samples, _ = read_dataset(args.data)
     if not 0 <= args.index < len(samples):
         print(f"error: index {args.index} out of range for {len(samples)} samples",
               file=sys.stderr)
@@ -184,15 +184,15 @@ def _cmd_predict(args) -> int:
     base_logits, exp_logits, _ = model_forward(model, sample.image)
     base_probs = softmax(base_logits)
     exp_probs = softmax(exp_logits)
-    pred_base = header.base_range[0] + int(np.argmax(base_probs))
-    pred_exp = header.exp_range[0] + int(np.argmax(exp_probs))
-    true_base = header.base_range[0] + sample.base_label
-    true_exp = header.exp_range[0] + sample.exp_label
+    pred_base = BASE_DIGITS[0] + int(np.argmax(base_probs))
+    pred_exp = EXP_DIGITS[0] + int(np.argmax(exp_probs))
+    true_base = BASE_DIGITS[0] + sample.base_label
+    true_exp = EXP_DIGITS[0] + sample.exp_label
     print(f"predicted: {pred_base}^{pred_exp}   (true: {true_base}^{true_exp})")
     print("base probabilities: " + " ".join(
-        f"{header.base_range[0] + i}:{p:.3f}" for i, p in enumerate(base_probs)))
+        f"{BASE_DIGITS[0] + i}:{p:.3f}" for i, p in enumerate(base_probs)))
     print("exp probabilities:  " + " ".join(
-        f"{header.exp_range[0] + i}:{p:.3f}" for i, p in enumerate(exp_probs)))
+        f"{EXP_DIGITS[0] + i}:{p:.3f}" for i, p in enumerate(exp_probs)))
     return 0
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import LayoutError
 from .glyphs import GLYPH_H, GLYPH_W, GLYPHS
+from .model import BASE_DIGITS, EXP_DIGITS, N_BASE_CLASSES, N_EXP_CLASSES
 from .rng import Rng
 from .tensor import DTYPE
 
@@ -34,8 +35,6 @@ BLUR_IDENTITY_BELOW = 0.05
 class GenConfig:
     count: int = 1
     image_size: tuple[int, int] = (64, 64)
-    base_range: tuple[int, int] = (2, 9)
-    exp_range: tuple[int, int] = (0, 9)
     font_scale_range: tuple[float, float] = (2.0, 3.5)
     noise_sigma_range: tuple[float, float] = (0.0, 0.3)
     blur_sigma_range: tuple[float, float] = (0.0, 2.0)
@@ -44,19 +43,14 @@ class GenConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        for name in ("base_range", "exp_range", "font_scale_range",
-                     "noise_sigma_range", "blur_sigma_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
-        for name in ("base_range", "exp_range"):
-            lo, hi = getattr(self, name)
-            if lo not in GLYPHS or hi not in GLYPHS:
-                raise ValueError(f"{name} must lie within the digits 0..9, got ({lo}, {hi})")
+        if min(self.image_size) < 1:
+            raise ValueError(f"image_size must be >= 1 in each dimension, got {self.image_size}")
         # the comparisons are False for NaN, so a NaN range is rejected too
         for name, rule in (("font_scale_range", "> 0"), ("noise_sigma_range", ">= 0"),
                            ("blur_sigma_range", ">= 0")):
             lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} is empty: ({lo}, {hi})")
             if not ((lo > 0.0 if rule == "> 0" else lo >= 0.0) and hi < math.inf):
                 raise ValueError(f"{name} must be finite and {rule}, got ({lo}, {hi})")
 
@@ -64,8 +58,8 @@ class GenConfig:
 @dataclass(frozen=True)
 class Sample:
     image: np.ndarray                 # [1, H, W] float32 in [0, 1]
-    base_label: int                   # index into base_range
-    exp_label: int                    # index into exp_range
+    base_label: int                   # the base digit minus BASE_DIGITS[0]
+    exp_label: int                    # the exponent digit minus EXP_DIGITS[0]
     meta: tuple[float, float, float]  # (font_scale, noise_sigma, blur_sigma)
 
 
@@ -86,6 +80,15 @@ class Dataset:
                           int(self.exp_labels[key]), tuple(self.meta[key].tolist()))
         return Dataset(self.images[key], self.base_labels[key], self.exp_labels[key],
                        self.meta[key])
+
+    def check_labels(self) -> None:
+        """Raise ValueError naming the first sample whose labels are outside its heads' classes."""
+        bad = ((self.base_labels < 0) | (self.base_labels >= N_BASE_CLASSES)
+               | (self.exp_labels < 0) | (self.exp_labels >= N_EXP_CLASSES))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"sample {i} labels ({self.base_labels[i]}, {self.exp_labels[i]}) "
+                             f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
 
 
 def _scale_glyph(digit: int, scale: float) -> np.ndarray:
@@ -165,16 +168,14 @@ def add_gaussian_noise(image: np.ndarray, sigma: float, rng: Rng) -> np.ndarray:
 def generate_sample(config: GenConfig, index: int) -> Sample:
     """Sample i of the dataset, identical whether generated alone or in bulk."""
     stream = Rng(config.master_seed).substream(index)
-    base_lo, base_hi = config.base_range
-    exp_lo, exp_hi = config.exp_range
-    base_label = stream.randint(base_hi - base_lo + 1)
-    exp_label = stream.randint(exp_hi - exp_lo + 1)
+    base_label = stream.randint(N_BASE_CLASSES)
+    exp_label = stream.randint(N_EXP_CLASSES)
     # metadata kept f32-representable so dataset files round-trip it exactly
     font_scale = float(np.float32(stream.uniform(*config.font_scale_range)))
     noise_sigma = float(np.float32(stream.uniform(*config.noise_sigma_range)))
     blur_sigma = float(np.float32(stream.uniform(*config.blur_sigma_range)))
 
-    image = render_expression(base_lo + base_label, exp_lo + exp_label,
+    image = render_expression(BASE_DIGITS[0] + base_label, EXP_DIGITS[0] + exp_label,
                               font_scale, config.image_size)
     image = gaussian_blur(image, blur_sigma)
     image = add_gaussian_noise(image, noise_sigma, stream)

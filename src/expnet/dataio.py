@@ -1,8 +1,9 @@
 """Binary dataset files: magic "EXPD", version 1, little-endian throughout.
 
-Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 base_lo, u8 base_hi,
-u8 exp_lo, u8 exp_hi; then one packed record per sample (``record_dtype``):
-H*W pixel bytes (round(p*255)), u8 base_label, u8 exp_label, and three f32
+Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 2 9 0 9 (the only
+digit bounds, model.BASE_DIGITS and EXP_DIGITS); then one packed record per
+sample (``record_dtype``): H*W pixel bytes (round(p*255)), u8 base_label, u8
+exp_label (each the digit minus its lowest), and three f32
 metadata values (font_scale, noise_sigma, blur_sigma), written as one record
 array and read WRITE_ROWS records at a time.  Pixels are quantized to 1/255,
 far below the noise scales; labels and metadata round-trip exactly.
@@ -18,19 +19,19 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import BadMagicError, FileFormatError, TruncatedFileError, VersionMismatchError
+from .model import BASE_DIGITS, EXP_DIGITS, N_BASE_CLASSES, N_EXP_CLASSES
 
 MAGIC = b"EXPD"
 VERSION = 1
 WRITE_ROWS = 1024   # rows converted at a time: 16 MB per float temporary at 64x64
 HEADER_SIZE = 24    # magic, four u32 and four u8
+DIGITS = bytes((*BASE_DIGITS, *EXP_DIGITS))   # the header's digit bounds at offset 20
 
 
 @dataclass(frozen=True)
 class DatasetHeader:
     count: int
     image_size: tuple[int, int]
-    base_range: tuple[int, int]
-    exp_range: tuple[int, int]
 
 
 class ByteReader:
@@ -84,21 +85,11 @@ def record_dtype(h: int, w: int) -> np.dtype:
                      ("meta", "<f4", (3,))])
 
 
-def write_dataset(dataset: Dataset, path: str,
-                  base_range: tuple[int, int] = (2, 9),
-                  exp_range: tuple[int, int] = (0, 9)) -> None:
+def write_dataset(dataset: Dataset, path: str) -> None:
     if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
     _, _, h, w = dataset.images.shape
-    n_base = base_range[1] - base_range[0] + 1
-    n_exp = exp_range[1] - exp_range[0] + 1
-    bad = ((dataset.base_labels < 0) | (dataset.base_labels >= n_base)
-           | (dataset.exp_labels < 0) | (dataset.exp_labels >= n_exp))
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"sample {i} labels ({dataset[i].base_label}, {dataset[i].exp_label}) outside the "
-            f"{n_base} base / {n_exp} exp classes of base {base_range} / exp {exp_range}")
+    dataset.check_labels()
     bad = ~np.isfinite(dataset.meta).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
@@ -110,7 +101,7 @@ def write_dataset(dataset: Dataset, path: str,
     records["base"], records["exp"] = dataset.base_labels, dataset.exp_labels
     records["meta"] = dataset.meta
     with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<4I4B", VERSION, len(dataset), h, w, *base_range, *exp_range))
+        f.write(MAGIC + struct.pack("<4I", VERSION, len(dataset), h, w) + DIGITS)
         f.write(records)   # the array's own buffer: no bytes copy of the whole file
 
 
@@ -134,8 +125,9 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
         if h == 0 or w == 0:
             raise FileFormatError(f"{path}: image size {h}x{w} at offset {reader.pos - 8} "
                                   "has a zero dimension")
-        base_range = (reader.u8(), reader.u8())
-        exp_range = (reader.u8(), reader.u8())
+        if (digits := reader.take(4)) != DIGITS:
+            raise FileFormatError(f"{path}: digit bounds {tuple(digits)} at offset 20; only "
+                                  f"base {BASE_DIGITS} and exponent {EXP_DIGITS} are supported")
         size = h * w + 14          # Python ints: a huge image size cannot overflow a dtype
         start = reader.skip(count * size)
         reader.expect_end()
@@ -147,14 +139,13 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
             records = buffer[:count - lo]
             if f.readinto(records) != records.nbytes:
                 raise TruncatedFileError(f"{path}: file shrank while being read")
-            bad = ((records["base"] > base_range[1] - base_range[0])
-                   | (records["exp"] > exp_range[1] - exp_range[0]))
+            bad = (records["base"] >= N_BASE_CLASSES) | (records["exp"] >= N_EXP_CLASSES)
             if bad.any():
                 i = int(bad.argmax())
                 raise FileFormatError(
                     f"{path}: sample {lo + i} labels ({records['base'][i]}, "
                     f"{records['exp'][i]}) at offset {start + (lo + i) * size + h * w} "
-                    f"outside the header's base {base_range} / exp {exp_range}")
+                    f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
             bad = ~np.isfinite(records["meta"]).all(axis=1)
             if bad.any():
                 i = int(bad.argmax())
@@ -167,4 +158,4 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
             dataset.base_labels[rows] = records["base"]
             dataset.exp_labels[rows] = records["exp"]
             dataset.meta[rows] = records["meta"]
-    return dataset, DatasetHeader(count, (h, w), base_range, exp_range)
+    return dataset, DatasetHeader(count, (h, w))

@@ -23,8 +23,10 @@ from .layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
 from .rng import Rng
 from .tensor import DTYPE
 
-N_BASE_CLASSES = 8    # digits 2..9
-N_EXP_CLASSES = 10    # digits 0..9
+BASE_DIGITS = (2, 9)  # the base head's classes: class k is digit BASE_DIGITS[0] + k
+EXP_DIGITS = (0, 9)   # the exponent head's classes, likewise
+N_BASE_CLASSES = BASE_DIGITS[1] - BASE_DIGITS[0] + 1   # 8
+N_EXP_CLASSES = EXP_DIGITS[1] - EXP_DIGITS[0] + 1      # 10
 KERNEL = 3            # every conv is 3x3 at stride 1 with padding 1: it keeps H and W
 DEAD = 4              # route of a pooled value the ReLU zeroes: it matches no window cell
 
@@ -49,12 +51,20 @@ class Architecture:
     1, which keeps H and W, followed by 2x2 max pooling at stride 2, which
     floors an odd map; the heads score N_BASE_CLASSES and N_EXP_CLASSES.  None
     of these has fields: the descriptor's ``kernel 3 stride 1 pad 1``,
-    ``pool 2 stride 2`` and ``heads 8 10`` lines record them.
+    ``pool 2 stride 2`` and ``heads 8 10`` lines record them.  A size below 1,
+    or a stage that leaves an empty map, raises ValueError.
     """
 
     input_hw: tuple[int, int] = (64, 64)
     conv_channels: tuple[int, ...] = (32, 64)
     dense_width: int = 128
+
+    def __post_init__(self):
+        if min(*self.input_hw, *self.conv_channels, self.dense_width) < 1:
+            raise ValueError(f"a size field is not positive: input_hw {self.input_hw}, "
+                             f"conv_channels {self.conv_channels}, dense_width {self.dense_width}")
+        if min(min(shape) for shape in self.stage_shapes()) < 1:
+            raise ValueError(f"stages {self.stage_shapes()} leave an empty map")
 
     def stage_shapes(self) -> list[tuple[int, int, int]]:
         """[C, H, W] after the input and after each conv + 2x2 pool stage."""
@@ -102,9 +112,8 @@ class Architecture:
     def from_text(cls, text: str) -> "Architecture":
         """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
 
-        Every size, kernel, stride and pool field must be positive, the padding
-        non-negative, the lines ``kernel 3 stride 1 pad 1``, ``pool 2 stride 2``
-        and ``heads 8 10``, and each stage must leave a non-empty map.
+        The lines must be ``kernel 3 stride 1 pad 1``, ``pool 2 stride 2`` and
+        ``heads 8 10``, and the sizes pass the constructor's checks.
         """
         try:
             fields = {}
@@ -118,9 +127,8 @@ class Architecture:
             )
             conv = tuple(int(fields["kernel"][i]) for i in (0, 2, 4))
             pool = (int(fields["pool"][0]), int(fields["pool"][2]))
-            sizes = (*arch.input_hw, *arch.conv_channels, *conv[:2], *pool, arch.dense_width)
-            if min(sizes) < 1 or conv[2] < 0:
-                raise ValueError("a size, kernel, stride or pool field is not positive, "
+            if min(*conv[:2], *pool) < 1 or conv[2] < 0:
+                raise ValueError("a kernel, stride or pool field is not positive, "
                                  "or the padding is negative")
             if conv != (KERNEL, 1, 1):
                 raise ValueError(f"kernel {conv[0]} stride {conv[1]} pad {conv[2]}: only "
@@ -131,8 +139,6 @@ class Architecture:
             if tuple(int(n) for n in fields["heads"]) != (N_BASE_CLASSES, N_EXP_CLASSES):
                 raise ValueError(f"heads {' '.join(fields['heads'])}: only {N_BASE_CLASSES} base "
                                  f"and {N_EXP_CLASSES} exponent classes are supported")
-            if min(min(shape) for shape in arch.stage_shapes()) < 1:
-                raise ValueError(f"stages {arch.stage_shapes()} leave an empty map")
         except (KeyError, IndexError, ValueError) as exc:
             raise ArchitectureMismatchError(f"unreadable architecture descriptor: {exc}") from exc
         return arch

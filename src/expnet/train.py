@@ -20,8 +20,7 @@ from .datagen import Dataset
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
 from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
-from .model import (DEFAULT_ARCH, N_BASE_CLASSES, N_EXP_CLASSES, Architecture,
-                    MultiOutputModel, Workspace)
+from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
 from .optim import AdamState, adam_step, check_adam_settings
 from .rng import Rng
 
@@ -108,14 +107,14 @@ def train(dataset: Dataset, config: TrainConfig,
     Resuming at start_epoch k with the state saved after k epochs replays the
     exact same remaining epochs as an uninterrupted run; early-stopping
     counters start fresh on resume. An initial_adam whose lr, betas or eps
-    would turn the parameters NaN or step them backwards raises ValueError.
+    would turn the parameters NaN or step them backwards, or a label outside
+    its head's classes, raises ValueError before the first step.
     """
     n = len(dataset)
     n_val = max(1, int(round(config.validation_fraction * n)))
     if n_val >= n:
         raise ValueError(f"validation split leaves no training data (n={n})")
-    if dataset.base_labels.max() >= N_BASE_CLASSES or dataset.exp_labels.max() >= N_EXP_CLASSES:
-        raise ValueError("dataset labels exceed the model's head widths")
+    dataset.check_labels()
 
     rng = Rng(config.seed)
     split = rng.substream(0).permutation(n)

@@ -39,7 +39,7 @@ def run_desk_pipeline(outdir):
     config = GenConfig(count=DESK_TRAIN + DESK_TEST, master_seed=DESK_SEED)
     samples = generate_dataset(config)
     data_path = str(outdir / "desk.bin")
-    write_dataset(samples, data_path, config.base_range, config.exp_range)
+    write_dataset(samples, data_path)
     loaded, _ = read_dataset(data_path)
     train_set, test_set = loaded[:DESK_TRAIN], loaded[DESK_TRAIN:]
 

@@ -11,7 +11,7 @@ from expnet.checkpoint import read_checkpoint, write_checkpoint
 from expnet.cli import cli_main
 from expnet.dataio import read_dataset
 from expnet.losses import softmax
-from expnet.model import TINY_ARCH, MultiOutputModel
+from expnet.model import BASE_DIGITS, EXP_DIGITS, TINY_ARCH, MultiOutputModel
 
 
 def test_generate_then_hist_conserves_counts(tmp_path, capsys):
@@ -86,11 +86,11 @@ def test_predict_runs_the_untraced_forward(tmp_path, capsys, monkeypatch):
     # untraced single-image pass that the benchmark's predict phase also
     # times, and must print the same
     net, _ = read_checkpoint(ckpt)
-    samples, header = read_dataset(data)
+    samples, _ = read_dataset(data)
     sample = samples[3]
     base_logits, exp_logits, _ = net.forward_batch(sample.image[None])
     base_probs, exp_probs = softmax(base_logits[0]), softmax(exp_logits[0])
-    b0, e0 = header.base_range[0], header.exp_range[0]
+    b0, e0 = BASE_DIGITS[0], EXP_DIGITS[0]
     expected = "\n".join([
         f"predicted: {b0 + int(np.argmax(base_probs))}^{e0 + int(np.argmax(exp_probs))}"
         f"   (true: {b0 + sample.base_label}^{e0 + sample.exp_label})",
@@ -172,6 +172,27 @@ def test_non_finite_ranges_rejected_before_any_work(tmp_path, capsys):
         assert cli_main(["sweep", "--model", model, "--attr", "blur", "--levels", levels,
                          "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: levels must be finite")
+
+
+def test_bad_image_size_rejected_before_any_work(tmp_path, capsys):
+    data = tmp_path / "d.bin"
+    for size in ("-3", "0"):
+        assert cli_main(["generate", "--count", "2", "--seed", "1", "--out", str(data),
+                         "--image-size", size]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: image_size must be >= 1 in each dimension, got ({size}, {size})")
+        assert not data.exists()
+
+
+def test_eval_refuses_other_digit_bounds(tmp_path, capsys):
+    data, model = tmp_path / "d.bin", str(tmp_path / "m.ckpt")
+    cli_main(["generate", "--count", "2", "--seed", "1", "--out", str(data)])
+    blob = data.read_bytes()
+    data.write_bytes(blob[:20] + bytes([3]) + blob[21:])
+    write_checkpoint(MultiOutputModel.init(TINY_ARCH, 0), model)
+    capsys.readouterr()
+    assert cli_main(["eval", "--model", model, "--data", str(data)]) == 1
+    assert "digit bounds (3, 9, 0, 9) at offset 20" in capsys.readouterr().err
 
 
 def test_bad_magic_reported_as_error(tmp_path, capsys):

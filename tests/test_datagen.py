@@ -183,14 +183,6 @@ def test_label_balance_smoke():
     assert exp_counts.max() / exp_counts.min() < 1.5
 
 
-@pytest.mark.parametrize("field", ["base_range", "exp_range"])
-@pytest.mark.parametrize("digits", [(2, 12), (-1, 9), (10, 10)])
-def test_config_rejects_ranges_outside_the_digits(field, digits):
-    with pytest.raises(ValueError, match=f"^{field} must lie within the digits 0..9"):
-        GenConfig(**{field: digits})
-    GenConfig(**{field: (0, 9)})
-
-
 @pytest.mark.parametrize("field, bounds, rule", [
     ("font_scale_range", (0.0, 3.0), "> 0"), ("font_scale_range", (-1.0, 3.0), "> 0"),
     ("font_scale_range", (2.0, math.inf), "> 0"), ("font_scale_range", (math.nan, 3.0), "> 0"),

@@ -289,6 +289,18 @@ def test_architecture_descriptor_bytes_are_pinned():
                                    "pool 2 stride 2\ndense 16\nheads 8 10")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(input_hw=(4, 4), conv_channels=(2, 2, 2)), "leave an empty map"),
+    (dict(dense_width=0), "a size field is not positive"),
+    (dict(input_hw=(-2, 64)), "a size field is not positive"),
+    (dict(conv_channels=(32, 0)), "a size field is not positive"),
+])
+def test_architecture_rejects_unbuildable_shapes(kwargs, match):
+    # these reached MultiOutputModel.init and raised ZeroDivisionError there
+    with pytest.raises(ValueError, match=match):
+        Architecture(**kwargs)
+
+
 def test_architecture_descriptor_round_trip():
     for arch in (DEFAULT_ARCH, TINY_ARCH,
                  Architecture(input_hw=(32, 32), conv_channels=(8, 16, 16),

@@ -13,7 +13,8 @@ from expnet.dataio import WRITE_ROWS, ByteReader, read_dataset, record_dtype, wr
 from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
-from expnet.model import DEFAULT_ARCH, TINY_ARCH, Architecture, MultiOutputModel
+from expnet.model import (BASE_DIGITS, DEFAULT_ARCH, EXP_DIGITS, TINY_ARCH, Architecture,
+                          MultiOutputModel)
 from expnet.optim import AdamState
 from expnet.rng import Rng
 from expnet.train import TrainConfig, train
@@ -28,7 +29,7 @@ def test_dataset_round_trip(tmp_path):
     back, header = read_dataset(path)
     assert header.count == 10
     assert header.image_size == (64, 64)
-    assert header.base_range == (2, 9) and header.exp_range == (0, 9)
+    assert open(path, "rb").read()[20:24] == bytes((*BASE_DIGITS, *EXP_DIGITS))
     for a, b in zip(ds, back):
         assert (a.base_label, a.exp_label) == (b.base_label, b.exp_label)
         assert a.meta == b.meta
@@ -48,6 +49,7 @@ def test_dataset_bytes_are_pinned(tmp_path):
     write_dataset(generate_dataset(GenConfig(count=6, master_seed=44)), str(path))
     blob = path.read_bytes()
     assert len(blob) == 24 + 6 * (64 * 64 + 2 + 12)
+    assert blob[:24] == b"EXPD" + struct.pack("<4I4B", 1, 6, 64, 64, 2, 9, 0, 9)
     assert hashlib.sha256(blob).hexdigest() == (
         "5a8bae59541065711df1d54554f4381726ff1d466dc53327805f6582bd13ac53")
 
@@ -186,6 +188,18 @@ def test_dataset_zero_image_dims_rejected(tmp_path):
         with pytest.raises(FileFormatError,
                            match=f"d.bin: image size {h}x{w} at offset 12 has a zero"):
             read_dataset(str(path))
+
+
+def test_dataset_other_digit_bounds_rejected(tmp_path):
+    # a file labelled against base digits 3-9 would be scored against heads whose class 0 is 2
+    ds = generate_dataset(GenConfig(count=2, master_seed=5))
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    whole = path.read_bytes()
+    path.write_bytes(whole[:20] + bytes([3]) + whole[21:])
+    with pytest.raises(FileFormatError, match=r"d.bin: digit bounds \(3, 9, 0, 9\) at offset 20; "
+                                              r"only base \(2, 9\) and exponent \(0, 9\)"):
+        read_dataset(str(path))
 
 
 def test_dataset_huge_image_size_is_truncation(tmp_path):

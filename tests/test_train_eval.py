@@ -63,6 +63,18 @@ def test_train_rejects_bad_inputs():
         train(ds, TrainConfig(epochs=1), arch=SMALL_ARCH)
 
 
+def test_train_refuses_negative_label_before_the_first_step(monkeypatch):
+    ds = small_dataset(30, 8)
+    ds.base_labels[5] = -1
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("train() took a step")
+
+    monkeypatch.setattr(train_mod, "batch_loss_and_grads", no_step)
+    with pytest.raises(ValueError, match=r"^sample 5 labels \(-1, \d+\) outside the 8 base"):
+        train(ds, TrainConfig(epochs=1), arch=SMALL_ARCH)
+
+
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
     ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
