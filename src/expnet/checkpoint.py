@@ -42,8 +42,20 @@ def _read_tensor(reader: ByteReader) -> np.ndarray:
 
 def write_checkpoint(model: MultiOutputModel, path: str,
                      adam_state: AdamState | None = None) -> None:
-    descriptor = model.arch.to_text().encode()
+    """Write model (and Adam state) to path.
+
+    A NaN or infinite parameter or Adam moment raises ValueError naming the
+    tensor before the file is opened.
+    """
     params = model.param_arrays()
+    tensors = [("", params)]
+    if adam_state is not None:
+        tensors += [("Adam m of ", adam_state.m), ("Adam v of ", adam_state.v)]
+    for prefix, arrays in tensors:
+        for (name, _), arr in zip(model.arch.param_shapes(), arrays):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: not written: {prefix}{name} holds a non-finite value")
+    descriptor = model.arch.to_text().encode()
     parts = [MAGIC, struct.pack("<I", VERSION),
              struct.pack("<I", len(descriptor)), descriptor,
              struct.pack("<I", len(params))]

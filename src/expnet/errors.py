@@ -35,3 +35,7 @@ class ArchitectureMismatchError(FileFormatError):
 
 class StaleTraceError(ExpnetError):
     """A forward trace was used after its workspace served a later forward."""
+
+
+class TrainingDivergedError(ExpnetError):
+    """Training produced non-finite logits: the run diverged."""

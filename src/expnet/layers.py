@@ -2,9 +2,10 @@
 
 Every op takes a batch: channel-major [C, B, H, W] feature maps, [B, F] dense
 activations; a single sample is a batch of one (``x[:, None]`` for a feature
-map, ``x[None]`` for a dense vector).  Parameters live in small layer
-classes; the math functions are pure and dtype-preserving so the 64-bit
-gradient checker can reuse them.
+map, ``x[None]`` for a dense vector).  A conv output about to be pooled may
+instead be window-major, [C, 4, B, H/2, W/2] (see _window_cells).
+Parameters live in small layer classes; the math functions are pure and
+dtype-preserving so the 64-bit gradient checker can reuse them.
 """
 
 from __future__ import annotations
@@ -47,23 +48,33 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 # --- Max pooling ---
 
+def _window_cells(x: np.ndarray) -> list[np.ndarray]:
+    """Views of the four cells of every 2x2 stride-2 window of a map, cell 2 * m + n first.
+
+    A channel-major [C, B, H, W] map gives strided views of its rows and
+    columns; an odd trailing row or column belongs to no window and is in
+    none of them.  A window-major [C, 4, B, H/2, W/2] map, as im2col_batch's
+    window-major columns make it, holds each cell whole: x[:, 2 * m + n].
+    """
+    if x.ndim == 5:
+        return [x[:, cell] for cell in range(4)]
+    h2, w2 = x.shape[-2] // 2 * 2, x.shape[-1] // 2 * 2
+    return [x[..., m:h2:2, n:w2:2] for m in range(2) for n in range(2)]
+
+
 def _pool_offsets_batch(x: np.ndarray, need_offsets: bool = True):
     """(2x2 stride-2 max-pooled values, window-relative offsets uint8), row-major tie-break.
 
-    Pools the last two axes of x (a channel-major [C, B, H, W] batch); an odd
-    trailing row or column belongs to no window and is dropped.  Offset
-    2 * m + n names the cell at row m, column n of each window;
-    need_offsets=False returns None for them and skips their work.
+    x is a channel-major [C, B, H, W] batch, whose odd trailing row or column
+    belongs to no window and is dropped, or a window-major [C, 4, B, H/2, W/2]
+    one (see _window_cells); both give [C, B, H/2, W/2].  Offset 2 * m + n
+    names the cell at row m, column n of each window; need_offsets=False
+    returns None for them and skips their work.
     """
-    h, w = x.shape[-2:]
-    if h < 2 or w < 2:
-        raise ShapeError(f"pool window 2 larger than input {h}x{w}")
-    h2, w2 = h // 2 * 2, w // 2 * 2
+    if x.ndim != 5 and min(x.shape[-2:]) < 2:
+        raise ShapeError(f"pool window 2 larger than input {x.shape[-2]}x{x.shape[-1]}")
     # elementwise max tree; strict > keeps the earliest cell on ties
-    a = x[..., 0:h2:2, 0:w2:2]
-    bb = x[..., 0:h2:2, 1:w2:2]
-    cc = x[..., 1:h2:2, 0:w2:2]
-    d = x[..., 1:h2:2, 1:w2:2]
+    a, bb, cc, d = _window_cells(x)
     m_ab = np.maximum(a, bb)
     m_cd = np.maximum(cc, d)
     out = np.maximum(m_ab, m_cd)
@@ -84,16 +95,18 @@ def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
                                  x_shape: tuple) -> np.ndarray:
     """Route each upstream value to its 2x2 window's recorded offset; zeros elsewhere.
 
-    Windows tile the input, so each pooled cell is written once; an odd
-    trailing row or column, which no window covers, is zeroed.
+    x_shape is the pooled map's, channel-major [C, B, H, W] or window-major
+    [C, 4, B, H/2, W/2], and the gradient comes in the same layout.  Windows
+    tile the input, so each pooled cell is written once; an odd trailing row
+    or column of a channel-major map, which no window covers, is zeroed.
     """
-    h2, w2 = 2 * upstream.shape[-2], 2 * upstream.shape[-1]
     grad = np.empty(x_shape, dtype=upstream.dtype)
-    for m in range(2):
-        for n in range(2):
-            np.multiply(upstream, offsets == 2 * m + n, out=grad[..., m:h2:2, n:w2:2])
-    grad[..., h2:, :] = 0
-    grad[..., :h2, w2:] = 0
+    for cell, view in enumerate(_window_cells(grad)):
+        np.multiply(upstream, offsets == cell, out=view)
+    if grad.ndim == 4:
+        h2, w2 = 2 * upstream.shape[-2], 2 * upstream.shape[-1]
+        grad[..., h2:, :] = 0
+        grad[..., :h2, w2:] = 0
     return grad
 
 
@@ -120,7 +133,9 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None 
 
     Any kernel, stride and padding work; the model runs only 3x3 at stride 1
     with padding 1, so its H' and W' are H and W.  ``cols``, a [C, M, N, B,
-    H', W'] array, receives the im2col columns instead of a new array.
+    H', W'] array, receives the im2col columns instead of a new array.  A
+    window-major [C, M, N, 4, B, H'/2, W'/2] one gives the window-major output
+    [K, 4, B, H'/2, W'/2] and im2col_batch's stack of four column matrices.
     Raises ShapeError if x, the parameters or cols do not fit together.
     """
     h_out, w_out = _check_conv_args(x[:, 0], layer.weights, layer.bias,
@@ -130,6 +145,8 @@ def conv_forward_batch(layer: ConvLayer, x: np.ndarray, cols: np.ndarray | None 
     cols = im2col_batch(x, m, n, layer.stride, layer.padding, out=cols)
     out = layer.weights.reshape(k, -1) @ cols
     out += layer.bias[:, None]
+    if out.ndim == 3:       # one [K, B*P] product per window cell
+        return out.reshape(4, k, b, h_out // 2, w_out // 2).swapaxes(0, 1), cols
     return out.reshape(k, b, h_out, w_out), cols
 
 
@@ -137,9 +154,11 @@ def conv_backward_batch(layer: ConvLayer, upstream: np.ndarray, cols: np.ndarray
                         gxpad: np.ndarray | None = None, u2p: np.ndarray | None = None):
     """Returns (grad_weights, grad_bias, grad_x) summed over the batch.
 
-    upstream is [K, B, H', W'] and cols the forward's im2col matrix.  grad_x
-    [C, B, H, W] is computed only when col2im_batch's scratch arrays gxpad
-    [C, B, H+2, W+2] and u2p are given, and only for a 3x3 conv at stride 1
+    upstream is the output gradient, [K, B, H', W'] or window-major [K, 4, B,
+    H'/2, W'/2], and cols the forward's columns as one [C*M*N, columns]
+    matrix in the same column order.  grad_x [C, B, H, W] is computed only
+    when col2im_batch's scratch arrays gxpad [C, B, H+2, W+2] and u2p are
+    given, from a row-major upstream, and only for a 3x3 conv at stride 1
     with padding 1 (ShapeError otherwise); it is None without them, as for
     the first layer, whose input is the image.
     """

@@ -31,16 +31,30 @@ KERNEL = 3            # every conv is 3x3 at stride 1 with padding 1: it keeps H
 DEAD = 4              # route of a pooled value the ReLU zeroes: it matches no window cell
 
 # Samples per trunk slice, in every forward and in the input-gradient fold.
-# conv1's im2col matrix takes 1.18 MB per sample of the default architecture;
-# an untraced 16-sample slice (18.9 MB) stays under glibc's 32 MiB mmap
-# ceiling, so its buffer comes from the heap instead of being mapped and
-# page-faulted afresh, and throughput is flat for slices of 8 to 24.  A traced
-# slice writes its columns into the whole batch's buffer, so each slice's
-# conv -> pool -> ReLU stays in cache while grad_w = u2 @ cols.T still sums
-# over the whole batch in one column order.  Only the trunk is sliced: its
-# conv GEMM gives each column the same bits at any batch size, while the small
-# head GEMMs do not, so dense and heads run once on the whole batch.
-TRUNK_CHUNK = 16
+# conv1's im2col matrix takes 1.18 MB per sample of the default architecture,
+# so an untraced 8-sample slice holds 9.4 MB of columns.  On a 2-core Xeon
+# with OpenBLAS, 8-sample slices ran an untraced 256-image forward in 223 ms
+# against 253 ms for 16-sample ones (medians of 8 alternating rounds), with
+# bitwise-identical logits and gradients; a batch-32 step took the same time.
+# A traced slice writes its columns into the whole batch's buffer, so each
+# slice's conv -> pool -> ReLU stays in cache while grad_w = u2 @ cols.T
+# still sums over the whole batch in one column order.  Only the trunk is
+# sliced: its conv GEMM gives each column the same bits at any batch size,
+# while the small head GEMMs do not, so dense and heads run once on the
+# whole batch.
+TRUNK_CHUNK = 8
+
+
+def _conv_layout(stage: int, batch: int, h: int, w: int) -> tuple[int, ...]:
+    """The sample and position axes of conv stage ``stage``'s h x w output.
+
+    conv0's output and columns are window-major, (4, batch, h // 2, w // 2)
+    (see im2col_batch): its one input channel makes those columns cheap to
+    build, and its pool then reads and writes four contiguous slabs instead of
+    strided views.  Later stages stay row-major, (batch, h, w): building
+    C-channel columns window-major costs more than their pool saves.
+    """
+    return (4, batch, h // 2, w // 2) if stage == 0 else (batch, h, w)
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,8 @@ class ForwardTrace:
     and is valid until that workspace serves another one.
     """
 
-    cols: list                 # whole-batch im2col columns, [C*3*3, B*H*W] per conv
+    cols: list                 # whole-batch im2col columns, [C*3*3, B*H*W] per conv,
+                               # conv0's window-major over (cell, sample, window)
     routes: list               # uint8 window cell per pooled value, DEAD where not > 0
     flat: np.ndarray           # flattened features, the dense input
     hidden: np.ndarray         # hidden activations, the heads' input
@@ -278,7 +293,8 @@ class MultiOutputModel:
         span = batch if need_trace else min(batch, TRUNK_CHUNK)
         cols, routes = [], []
         for i, (c, h, w) in enumerate(shapes[:-1]):     # a same conv keeps H and W
-            cols.append(workspace.array(f"conv{i}.cols", (c, KERNEL, KERNEL, span, h, w),
+            cols.append(workspace.array(f"conv{i}.cols",
+                                        (c, KERNEL, KERNEL, *_conv_layout(i, span, h, w)),
                                         x.dtype if i == 0 else dtype))
             if need_trace:
                 k, h2, w2 = shapes[i + 1]
@@ -292,7 +308,8 @@ class MultiOutputModel:
             at = lo if need_trace else 0        # where the slice's columns go
             for i, conv in enumerate(self.convs):
                 try:
-                    part, _ = conv_forward_batch(conv, part, cols=cols[i][:, :, :, at:at + rows])
+                    part, _ = conv_forward_batch(conv, part,
+                                                 cols=cols[i][..., at:at + rows, :, :])
                 except ShapeError as exc:
                     raise ShapeError(f"conv{i}: {exc}") from exc
                 part, offsets = _pool_offsets_batch(part, need_offsets=need_trace)
@@ -346,7 +363,8 @@ class MultiOutputModel:
             c, h, w = shapes[i]
             k = conv.weights.shape[0]
             # a DEAD route matches no cell, so it passes upstream * 0: the ReLU's zero
-            upstream = _pool_backward_offsets_batch(upstream, trace.routes[i], (k, batch, h, w))
+            upstream = _pool_backward_offsets_batch(upstream, trace.routes[i],
+                                                    (k, *_conv_layout(i, batch, h, w)))
             gxpad = u2p = None
             if i > 0:
                 grid = (h + 2, w + 2)           # the fold's padded grid

@@ -81,47 +81,53 @@ def _check_scratch(name: str, arr: np.ndarray, shape: tuple, dtype) -> None:
                          f"got {arr.shape} {arr.dtype}")
 
 
-def _tap_range(k: int, size: int, out_size: int, stride: int, padding: int) -> tuple[int, int]:
-    """Outputs [lo, hi) whose kernel tap k reads inside the unpadded input."""
-    lo = min(out_size, max(0, -((k - padding) // stride)))
-    hi = min(out_size, (size - 1 + padding - k) // stride + 1)
-    return lo, max(lo, hi)
-
-
 def im2col_batch(x: np.ndarray, m: int, n: int, stride: int, padding: int,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Unroll receptive fields of a channel-major batch [C, B, H, W] into [C*M*N, B*P].
+    """Unroll receptive fields of a channel-major batch [C, B, H, W] into columns.
 
-    Row order is (c, m, n) row-major; column order is batch-major, then output
-    position row-major, so weights.reshape(K, C*M*N) @ cols is the convolution,
-    already channel-major as [K, B, H', W'].  Each tap is copied straight from
-    x and only the strips that fall on the zero padding are zeroed, so no
-    padded copy of x is made.  ``out`` is an optional [C, M, N, B, H', W']
-    array to fill instead of a new one (a batch slice of a larger buffer
-    works); the result is then a view of it.
+    Row order is (c, m, n) row-major.  The columns come in one of two orders,
+    set by ``out``, an optional array to fill instead of a new one (a batch
+    slice of a larger buffer works; the result is then a view of it):
+
+    - row-major, out [C, M, N, B, H', W'] (the default): batch-major, then
+      output position row-major.  The result is [C*M*N, B*H'*W'], so
+      weights.reshape(K, C*M*N) @ cols is the convolution, channel-major as
+      [K, B, H', W'].
+    - window-major, out [C, M, N, 4, B, H'/2, W'/2]: the output positions of
+      the 2x2 stride-2 pool windows, cell 2*p + q of a window first, then the
+      batch, then the window row-major; an odd trailing output row or column,
+      which no window covers, is left out.  The result is the stack
+      [4, C*M*N, B*(H'/2)*(W'/2)] of one column matrix per cell, so the same
+      product gives [4, K, B, H'/2, W'/2]: four contiguous pool-cell slabs.
+
+    x is copied once into a zero-bordered array, and each kernel tap is then
+    one strided copy of it, which splits its rows and columns into window
+    cells in the window-major order.
     """
     c, b, h, w = x.shape
     h_out = _conv_out_size(h, m, stride, padding)
     w_out = _conv_out_size(w, n, stride, padding)
-    shape = (c, m, n, b, h_out, w_out)
     if out is None:
-        out = np.empty(shape, dtype=x.dtype)
-    _check_scratch("im2col out", out, shape, x.dtype)
+        out = np.empty((c, m, n, b, h_out, w_out), dtype=x.dtype)
+    window = 2 if out.ndim == 7 else 1          # cells per window side
+    h_cell, w_cell = h_out // window, w_out // window
+    cells = (4,) if window > 1 else ()
+    _check_scratch("im2col out", out, (c, m, n, *cells, b, h_cell, w_cell), x.dtype)
+    xpad = np.empty((c, b, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xpad[..., padding:padding + h, padding:padding + w] = x
+    for edge in (np.s_[..., :padding, :], np.s_[..., padding + h:, :],
+                 np.s_[..., :padding], np.s_[..., padding + w:]):
+        xpad[edge] = 0
+    span_h = (window * h_cell - 1) * stride + 1  # padded input rows and columns a tap reads
+    span_w = (window * w_cell - 1) * stride + 1
+    taps = out.reshape(c, m, n, window, window, b, h_cell, w_cell)   # always a view of out
     for mi in range(m):
-        i0, i1 = _tap_range(mi, h, h_out, stride, padding)
         for ni in range(n):
-            j0, j1 = _tap_range(ni, w, w_out, stride, padding)
-            tap = out[:, mi, ni]
-            tap[..., :i0, :] = 0
-            tap[..., i1:, :] = 0
-            tap[..., i0:i1, :j0] = 0
-            tap[..., i0:i1, j1:] = 0
-            if i1 > i0 and j1 > j0:
-                r0 = i0 * stride + mi - padding
-                s0 = j0 * stride + ni - padding
-                tap[..., i0:i1, j0:j1] = x[:, :, r0:r0 + (i1 - i0 - 1) * stride + 1:stride,
-                                           s0:s0 + (j1 - j0 - 1) * stride + 1:stride]
-    return out.reshape(c * m * n, b * h_out * w_out)
+            tap = xpad[:, :, mi:mi + span_h:stride, ni:ni + span_w:stride]
+            taps[:, mi, ni] = tap.reshape(c, b, h_cell, window, w_cell, window).transpose(
+                0, 3, 5, 1, 2, 4)
+    grid = taps.reshape(c * m * n, window * window, b * h_cell * w_cell)
+    return grid.transpose(1, 0, 2) if window > 1 else grid[:, 0]
 
 
 def col2im_batch(weights: np.ndarray, u2: np.ndarray, gxpad: np.ndarray,

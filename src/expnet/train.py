@@ -17,6 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .datagen import Dataset
+from .errors import TrainingDivergedError
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
 from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
@@ -108,7 +109,9 @@ def train(dataset: Dataset, config: TrainConfig,
     exact same remaining epochs as an uninterrupted run; early-stopping
     counters start fresh on resume. An initial_adam whose lr, betas or eps
     would turn the parameters NaN or step them backwards, or a label outside
-    its head's classes, raises ValueError before the first step.
+    its head's classes, raises ValueError before the first step.  Non-finite
+    logits in a step or in validation raise TrainingDivergedError naming the
+    epoch and the batch.
     """
     n = len(dataset)
     n_val = max(1, int(round(config.validation_fraction * n)))
@@ -146,15 +149,26 @@ def train(dataset: Dataset, config: TrainConfig,
         base_sum = exp_sum = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = dataset[order[lo:lo + config.batch_size]]
-            b_loss, e_loss, grads = batch_loss_and_grads(
-                model, batch.images, batch.base_labels, batch.exp_labels, workspace=workspace)
+            try:
+                b_loss, e_loss, grads = batch_loss_and_grads(
+                    model, batch.images, batch.base_labels, batch.exp_labels,
+                    workspace=workspace)
+            except ValueError as exc:     # labels are checked above: softmax's non-finite
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch}, batch {lo // config.batch_size}: "
+                    f"{exc}") from exc
             adam_step(params, grads, adam)
             base_sum += b_loss * len(batch)
             exp_sum += e_loss * len(batch)
 
         train_base = base_sum / len(order)
         train_exp = exp_sum / len(order)
-        val_total, val_base_acc, val_exp_acc = validation_metrics(model, val_set, workspace)
+        try:
+            val_total, val_base_acc, val_exp_acc = validation_metrics(model, val_set, workspace)
+        except ValueError as exc:
+            raise TrainingDivergedError(f"training diverged in epoch {epoch}, validation after "
+                                        f"batch {(len(order) - 1) // config.batch_size}: "
+                                        f"{exc}") from exc
         history.append(EpochRecord(epoch, train_base + train_exp, train_base,
                                    train_exp, val_total, val_base_acc, val_exp_acc))
 

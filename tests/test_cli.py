@@ -157,6 +157,22 @@ def test_train_rejects_bad_lr_before_writing(tmp_path, capsys):
         assert not model.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")     # numpy's overflow warnings
+def test_diverging_train_exits_1_without_writing(tmp_path, capsys):
+    # lr 1e30 passes TrainConfig's check, then the first step overflows the
+    # weights: the next step fails, or validation when the epoch had one step
+    data = str(tmp_path / "d.bin")
+    model, history = tmp_path / "m.ckpt", tmp_path / "hist.csv"
+    cli_main(["generate", "--count", "20", "--seed", "4", "--out", data])
+    for batch, where in (("4", "batch 1"), ("32", "validation after batch 0")):
+        assert cli_main(["train", "--data", data, "--out", str(model), "--epochs", "2",
+                         "--batch", batch, "--lr", "1e30", "--history", str(history)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: training diverged in epoch 0, {where}: ")
+        assert "non-finite" in err
+        assert not model.exists() and not history.exists()
+
+
 def test_non_finite_ranges_rejected_before_any_work(tmp_path, capsys):
     data = tmp_path / "d.bin"
     for flag, value, field in (("--blur-max", "inf", "blur_sigma_range"),

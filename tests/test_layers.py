@@ -297,10 +297,18 @@ def pool_reference(x):
     return out, off
 
 
+def window_major(x):
+    """A channel-major [C, B, H, W] map as window-major [C, 4, B, H/2, W/2], odd edge dropped."""
+    c, b, h, w = x.shape
+    hc, wc = h // 2, w // 2
+    grid = x[..., :2 * hc, :2 * wc].reshape(c, b, hc, 2, wc, 2)
+    return grid.transpose(0, 3, 5, 1, 2, 4).reshape(c, 4, b, hc, wc)
+
+
 def test_pool_2x2_fast_path_matches_loop_reference():
     # all 81 windows over the values {-1, 0, 1}: all-equal windows, pairwise ties
     # within and across rows, and ties at zero; then multi-window random maps,
-    # one of them odd-sized
+    # one of them odd-sized; the window-major layout pools to the same bytes
     ties = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0]] * 4, indexing="ij"), dtype=np.float32)
     ties = ties.reshape(4, 3, 27).transpose(1, 2, 0).reshape(3, 27, 2, 2)
     rand = Rng(25).uniforms(2 * 3 * 8 * 6, -1, 1).reshape(2, 3, 8, 6).astype(np.float32)
@@ -313,6 +321,8 @@ def test_pool_2x2_fast_path_matches_loop_reference():
         if x is not odd:
             assert out.tobytes() == ref_out.tobytes()
         assert off.dtype == np.uint8 and off.tobytes() == ref_off.tobytes()
+        out_wm, off_wm = _pool_offsets_batch(window_major(x))
+        assert out_wm.tobytes() == out.tobytes() and off_wm.tobytes() == off.tobytes()
     assert np.array_equal(np.bincount(off.ravel()), [36, 22, 14, 9])   # ties pick the first
 
 
@@ -371,7 +381,8 @@ def test_relu_after_pool_backward_matches_relu_then_pool():
 
 def test_tiled_pool_backward_equals_general_path():
     # each pooled cell is written once and an odd trailing row or column is
-    # zeroed; positive inputs make the reference's ReLU mask all ones
+    # zeroed; positive inputs make the reference's ReLU mask all ones; the
+    # window-major layout gets the same values at its cells
     for shape in ((3, 2, 8, 6), (2, 2, 9, 7)):
         x = Rng(23).uniforms(int(np.prod(shape)), 0.1, 1).reshape(shape).astype(np.float32)
         x[0, 0, :2, :2] = 0.5                   # tie window
@@ -383,3 +394,5 @@ def test_tiled_pool_backward_equals_general_path():
         nonzero = grad != 0
         assert grad[nonzero].tobytes() == ref[nonzero].tobytes()
         assert np.count_nonzero(nonzero) == np.count_nonzero(up)
+        grad_wm = _pool_backward_offsets_batch(up, off, window_major(x).shape)
+        assert grad_wm.tobytes() == window_major(grad).tobytes()

@@ -63,25 +63,34 @@ def test_forward_logit_shapes_and_trace():
 def test_routes_are_window_cells_where_live_and_exactly_dead_elsewhere():
     # an identity conv pools the image itself: one window all negative with its
     # max in cell 3, one tied at 5 in cells 1 and 3, one tied at 0 in cells 1
-    # and 2, one live in cell 2; the second image is all NaN
-    m = MultiOutputModel.init(Architecture(input_hw=(4, 4), conv_channels=(1,),
+    # and 2, one live in cell 2; a trailing row and column of 9s that no window
+    # covers; the second image is all NaN and random ones fill a partial last
+    # trunk slice.  conv0's window-major pass records the routes and pooled
+    # values that pooling its row-major output gives
+    m = MultiOutputModel.init(Architecture(input_hw=(5, 5), conv_channels=(1,),
                                            dense_width=2), 0)
     m.convs[0].weights[:] = 0
     m.convs[0].weights[0, 0, 1, 1] = 1
-    img = np.array([[-3, -2, 1, 5],
-                    [-4, -1, 0, 5],
-                    [-1, 0, 1, 2],
-                    [0, -2, 7, 3]], dtype=np.float32)
-    imgs = np.stack([img, np.full_like(img, np.nan)])[:, None]
+    img = np.array([[-3, -2, 1, 5, 9],
+                    [-4, -1, 0, 5, 9],
+                    [-1, 0, 1, 2, 9],
+                    [0, -2, 7, 3, 9],
+                    [9, 9, 9, 9, 9]], dtype=np.float32)
+    n = TRUNK_CHUNK + 3
+    imgs = Rng(5).uniforms(n * 25, -1, 1).reshape(n, 1, 5, 5).astype(np.float32)
+    imgs[0, 0], imgs[1, 0] = img, np.nan
     _, _, trace = m.forward_batch(imgs)
-    pooled, offsets = _pool_offsets_batch(imgs.transpose(1, 0, 2, 3))
+    conv_out, _ = conv_forward_batch(m.convs[0], imgs.transpose(1, 0, 2, 3))
+    assert conv_out.shape == (1, n, 5, 5)
+    pooled, offsets = _pool_offsets_batch(conv_out)
     (route,) = trace.routes
-    assert route.dtype == np.uint8 and route.shape == (1, 2, 2, 2)
+    assert route.dtype == np.uint8 and route.shape == (1, n, 2, 2)
     assert np.array_equal(offsets[0, 0], [[3, 1], [1, 2]])
     assert np.array_equal(route[0, 0], [[DEAD, 1], [DEAD, 2]])
     live = pooled > 0
     assert np.array_equal(route[live], offsets[live])
-    assert (route[~live] == DEAD).all() and (~live[0, 1]).all()
+    assert (route[~live] == DEAD).all() and (~live[0, 1]).all() and live[0, 2:].any()
+    assert trace.flat.tobytes() == relu_forward(pooled).transpose(1, 0, 2, 3).tobytes()
 
 
 def test_forward_batch_matches_per_sample():
@@ -96,6 +105,32 @@ def test_forward_batch_matches_per_sample():
         for i in range(n):
             b1, e1, _ = model_forward(m, imgs[i])
             assert np.allclose(b1, base[i], atol=1e-5) and np.allclose(e1, exp[i], atol=1e-5)
+
+
+@pytest.mark.parametrize("arch", [TINY_ARCH, Architecture(input_hw=(17, 15),
+                                                          conv_channels=(4, 8), dense_width=16)])
+def test_backward_batch_matches_per_sample(arch):
+    # in float64 the batch gradient is the per-sample sum up to rounding, across
+    # a partial last trunk slice, conv0's window-major backward and, at 17x15,
+    # the row and column that each pool floors away
+    m = MultiOutputModel.init(arch, 5).astype(np.float64)
+    n = 2 * TRUNK_CHUNK + 3
+    h, w = arch.input_hw
+    rng = Rng(n)
+    imgs = rng.uniforms(n * h * w).reshape(n, 1, h, w)
+    g_base = rng.uniforms(n * 8, -1, 1).reshape(n, 8)
+    g_exp = rng.uniforms(n * 10, -1, 1).reshape(n, 10)
+    _, _, trace = m.forward_batch(imgs)
+    grads = m.backward_batch(trace, g_base, g_exp)
+    sums = [np.zeros_like(g) for g in grads]
+    for i in range(n):
+        _, _, one = m.forward_batch(imgs[i:i + 1])
+        for total, g in zip(sums, m.backward_batch(one, g_base[i:i + 1], g_exp[i:i + 1])):
+            total += g
+    for (name, _), got, want in zip(m.parameters(), grads, sums):
+        scale = np.abs(want).max()
+        assert got.dtype == np.float64 and scale > 0, name
+        assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
 def test_untraced_forward_memory_is_bounded_by_the_trunk_slice():

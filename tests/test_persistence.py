@@ -271,6 +271,25 @@ def test_checkpoint_with_adam_state(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_checkpoint_write_refuses_non_finite_tensors(tmp_path):
+    # a diverged run must not save NaN weights: the file is never opened
+    model = MultiOutputModel.init(TINY_ARCH, 3)
+    state = AdamState.init(model.param_arrays(), lr=0.01)
+    path = tmp_path / "m.ckpt"
+    model.convs[1].weights[2, 0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="conv1.weights holds a non-finite value"):
+        write_checkpoint(model, str(path), adam_state=state)
+    assert not path.exists()
+    model.convs[1].weights[2, 0, 1, 1] = 0.5
+    state.v[5][3] = np.inf
+    with pytest.raises(ValueError, match="Adam v of dense.bias holds a non-finite value"):
+        write_checkpoint(model, str(path), adam_state=state)
+    assert not path.exists()
+    state.v[5][3] = 0.0
+    write_checkpoint(model, str(path), adam_state=state)
+    assert path.exists()
+
+
 def test_checkpoint_moment_shape_mismatch_rejected_at_read(tmp_path):
     model = MultiOutputModel.init(TINY_ARCH, 3)
     state = AdamState.init(model.param_arrays())

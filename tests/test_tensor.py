@@ -215,22 +215,36 @@ def test_conv_fast_matches_naive_random_shapes():
         assert np.all(np.isfinite(fast))
 
 
+def window_major_columns(cols, b, h_out, w_out):
+    """Row-major columns [R, B*H'*W'] regrouped by 2x2 pool-window cell: [4, R, B*(H'/2)*(W'/2)]."""
+    hc, wc = h_out // 2, w_out // 2
+    grid = cols.reshape(-1, b, h_out, w_out)[..., :2 * hc, :2 * wc]
+    return grid.reshape(-1, b, hc, 2, wc, 2).transpose(3, 5, 0, 1, 2, 4).reshape(4, -1, b * hc * wc)
+
+
 def test_im2col_fills_a_given_array_in_place():
     # border strips are zeroed, not left from the previous user, and the
-    # columns can be a batch slice of a larger buffer
+    # columns can be a batch slice of a larger buffer, in either column order:
+    # window-major columns are the row-major ones grouped by pool-window cell,
+    # without an odd trailing output row or column
     for seed, (c, b, h, w, m, n, stride, pad) in enumerate(
             [(2, 3, 5, 6, 3, 3, 1, 0), (2, 3, 5, 6, 3, 3, 1, 1), (1, 2, 4, 4, 3, 2, 1, 2),
-             (3, 2, 7, 6, 3, 3, 2, 1), (1, 1, 2, 2, 1, 1, 1, 2)]):
+             (3, 2, 7, 6, 3, 3, 2, 1), (1, 1, 2, 2, 1, 1, 1, 2), (1, 3, 17, 15, 3, 3, 1, 1)]):
         x = Rng(90 + seed).uniforms(c * b * h * w, -1, 1).reshape(c, b, h, w).astype(np.float32)
         fresh = im2col_batch(x, m, n, stride, pad)
         h_out = (h + 2 * pad - m) // stride + 1
         w_out = (w + 2 * pad - n) // stride + 1
-        out = np.full((c, m, n, b, h_out, w_out), np.nan, dtype=np.float32)
-        cols = im2col_batch(x, m, n, stride, pad, out=out)
-        assert np.array_equal(cols, fresh) and np.shares_memory(cols, out)
-        wide = np.full((c, m, n, b + 3, h_out, w_out), 7.0, dtype=np.float32)
-        cols = im2col_batch(x, m, n, stride, pad, out=wide[:, :, :, 2:2 + b])
-        assert np.array_equal(cols, fresh) and np.shares_memory(cols, wide)
-        assert np.all(wide[:, :, :, :2] == 7.0) and np.all(wide[:, :, :, 2 + b:] == 7.0)
+        windows = window_major_columns(fresh, b, h_out, w_out)
+        for cells, want in (((), fresh), ((4,), windows)):
+            sizes = (h_out, w_out) if not cells else (h_out // 2, w_out // 2)
+            out = np.full((c, m, n, *cells, b, *sizes), np.nan, dtype=np.float32)
+            cols = im2col_batch(x, m, n, stride, pad, out=out)
+            assert np.array_equal(cols, want) and np.shares_memory(cols, out)
+            wide = np.full((c, m, n, *cells, b + 3, *sizes), 7.0, dtype=np.float32)
+            cols = im2col_batch(x, m, n, stride, pad, out=wide[..., 2:2 + b, :, :])
+            assert np.array_equal(cols, want) and np.shares_memory(cols, wide)
+            assert np.all(wide[..., :2, :, :] == 7.0) and np.all(wide[..., 2 + b:, :, :] == 7.0)
     with pytest.raises(ShapeError, match="im2col out"):
         im2col_batch(x, 1, 1, 1, 0, out=np.empty((1, 1, 1, 1, 2, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match="im2col out"):
+        im2col_batch(x, 3, 3, 1, 1, out=np.empty((1, 3, 3, 4, 3, 9, 7), dtype=np.float32))
