@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from expnet.dataio import write_dataset
 from expnet.datagen import (GenConfig, add_gaussian_noise, gaussian_blur,
                             generate_dataset, generate_sample, render_expression)
 from expnet.errors import LayoutError
@@ -159,6 +161,38 @@ def test_sample_substream_isolation():
         assert np.array_equal(alone.image, ds.images[i])
         assert (alone.base_label, alone.exp_label) == (ds.base_labels[i], ds.exp_labels[i])
         assert alone.meta == tuple(ds.meta[i].tolist())
+
+
+def _digests(ds, tmp_path) -> tuple[str, str]:
+    """SHA-256 of the dataset's EXPD file and of its float32 and int64 columns."""
+    path = tmp_path / "d.bin"
+    write_dataset(ds, str(path))
+    columns = b"".join(a.tobytes() for a in (ds.images, ds.base_labels, ds.exp_labels, ds.meta))
+    return (hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(columns).hexdigest())
+
+
+@pytest.mark.parametrize("config, expd, columns", [
+    # 300 samples cross a chunk boundary and reach blur radii 1-6 and sigmas below 0.05
+    (GenConfig(count=300, master_seed=2024),
+     "7d5bea063f82bf676f167d07d0b14953168612295e1621d5933c80819cf74203",
+     "b0b7b3172c4c69dd1be815d9f4fe4e08fecfb5221884cd15b0188cee451622d9"),
+    # no noise draws and the identity blur only
+    (GenConfig(count=40, master_seed=5, noise_sigma_range=(0.0, 0.0),
+               blur_sigma_range=(0.0, 0.04)),
+     "e5f2c5186a95088c0aec73c4ffcb55c3fa5695ed26916e6d506ae774808e2da9",
+     "8894924a56ec2d887057d4e3d723e546efc92ca199e18b631312c8aa2b2f738b"),
+    # a non-square canvas with an odd pixel count, so each noise field takes one extra draw
+    (GenConfig(count=40, master_seed=6, image_size=(33, 47), font_scale_range=(1.2, 1.8)),
+     "b83d40d3145faed85fb52d47a67a2c2b725020a67178e49d47680c1d5dc0e4d4",
+     "653e376333fe880afa66c4d0f1b844f0700b88f33514e87d5dcd08619a4e3b4d"),
+])
+def test_generated_bytes_are_pinned(config, expd, columns, tmp_path):
+    ds = generate_dataset(config)
+    if config.count == 300:
+        blur = ds.meta[:, 2].astype(np.float64)
+        assert set(np.ceil(3.0 * blur[blur >= 0.05]).tolist()) == {1, 2, 3, 4, 5, 6}
+        assert (blur < 0.05).any()
+    assert _digests(ds, tmp_path) == (expd, columns)
 
 
 def test_pinned_ranges_produce_exact_levels():

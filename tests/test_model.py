@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,12 @@ def test_exp_head_zero_equals_single_head_backprop():
     exp_b = grads[names.index("exp_head.bias")]
     assert not exp_w.any() and not exp_b.any()
     assert grads[names.index("conv0.weights")].any()
+
+
+def test_initial_parameters_are_pinned():
+    params = MultiOutputModel.init(DEFAULT_ARCH, 0).param_arrays()
+    assert hashlib.sha256(b"".join(p.tobytes() for p in params)).hexdigest() == (
+        "708c600736c42258cb90b009e2e03aeb5f13a58cbdc1aeab4382f806094361fb")
 
 
 def test_architecture_descriptor_bytes_are_pinned():

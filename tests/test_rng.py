@@ -1,4 +1,7 @@
+import hashlib
+
 import numpy as np
+import pytest
 
 from expnet.rng import Rng
 
@@ -77,3 +80,15 @@ def test_permutation_matches_scalar_fisher_yates():
         perm = rng.permutation(n)
         assert perm.dtype == np.int64 and perm.tolist() == ref, n
         assert rng.next_u64() == r.next_u64()    # both consumed max(n - 1, 0) draws
+
+
+@pytest.mark.parametrize("method, digest", [
+    ("uniforms", "05aaeca87954405f8f456c66ba252423931637efdd2acc7b1b4a0b88a2114d21"),
+    ("normals", "61934f1f52d0a8473945426c3170694bf65cada2c23ed1747fcfa80dfb03e77e"),
+])
+def test_bulk_draws_are_pinned(method, digest):
+    # 2 * BLOCK + 3 draws end in a partial block, and an odd normals(n) takes n + 1
+    rng = Rng(2024)
+    values = getattr(rng, method)(2 * (1 << 15) + 3)
+    following = rng.u64(3)
+    assert hashlib.sha256(values.tobytes() + following.tobytes()).hexdigest() == digest
