@@ -8,19 +8,26 @@ config and any sample can be regenerated in isolation.
 
 Per-sample draw order within the substream: base digit, exponent digit,
 font scale, noise sigma, blur sigma, then the noise field.
+
+Samples are synthesized CHUNK at a time: the chunk's scalar draws are one
+array, and its blur and its noise one batched call each. Every value comes
+from its sample's own substream and every sum keeps its per-sample order, so
+the bytes do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .errors import LayoutError
+from .errors import LayoutError, ShapeError
 from .glyphs import GLYPH_H, GLYPH_W, GLYPHS
 from .model import BASE_DIGITS, EXP_DIGITS, N_BASE_CLASSES, N_EXP_CLASSES
-from .rng import Rng
+from .rng import Rng, draw, normals, to_uniform
 from .tensor import DTYPE
 
 # Expression layout constants: the exponent is drawn at 0.6x the base scale,
@@ -29,6 +36,11 @@ from .tensor import DTYPE
 EXP_SCALE_RATIO = 0.6
 SUPERSCRIPT_RISE = 0.2
 BLUR_IDENTITY_BELOW = 0.05
+
+# Samples synthesized together: their draws, blur and noise are each one batched
+# call, and the chunk's float64 scratch (about 4 MB at 64x64) bounds the memory
+# a dataset of any size needs beyond its own columns.
+CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -91,13 +103,19 @@ class Dataset:
                              f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
 
 
-def _scale_glyph(digit: int, scale: float) -> np.ndarray:
-    """Nearest-neighbor upscale: dst pixel (r, c) reads master (r*H//h, c*W//w)."""
-    h = max(1, round(GLYPH_H * scale))
-    w = max(1, round(GLYPH_W * scale))
+@lru_cache(maxsize=1024)
+def _glyph(digit: int, h: int, w: int) -> np.ndarray:
+    """Glyph scaled to h x w by nearest neighbor; read-only, since it is shared."""
     rows = (np.arange(h) * GLYPH_H) // h
     cols = (np.arange(w) * GLYPH_W) // w
-    return GLYPHS[digit][np.ix_(rows, cols)]
+    glyph = GLYPHS[digit][np.ix_(rows, cols)]
+    glyph.flags.writeable = False
+    return glyph
+
+
+def _scale_glyph(digit: int, scale: float) -> np.ndarray:
+    """Nearest-neighbor upscale: dst pixel (r, c) reads master (r*H//h, c*W//w)."""
+    return _glyph(digit, max(1, round(GLYPH_H * scale)), max(1, round(GLYPH_W * scale)))
 
 
 def render_expression(base: int, exponent: int, font_scale: float,
@@ -127,71 +145,117 @@ def render_expression(base: int, exponent: int, font_scale: float,
     return canvas[None]
 
 
-def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with clamp-to-edge borders.
+def _check_sigmas(kind: str, images: np.ndarray, sigmas) -> np.ndarray:
+    """Per-sample sigmas of an [N, C, H, W] batch as float64 [N], each finite and >= 0."""
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if images.ndim != 4 or sigmas.shape != images.shape[:1]:
+        raise ShapeError(f"{kind} takes [N, C, H, W] images and [N] sigmas, "
+                         f"got {images.shape} and {sigmas.shape}")
+    bad = ~(np.isfinite(sigmas) & (sigmas >= 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"{kind} sigma of sample {i} must be finite and >= 0, got {sigmas[i]}")
+    return sigmas
+
+
+def _tap_sum(padded: np.ndarray, kernels: np.ndarray, step: int) -> np.ndarray:
+    """out[:, j] = sum over taps i of kernels[:, i] * padded[:, j + i * step], from +0 in tap order.
+
+    Each tap is one contiguous range of the flattened rows, so the last
+    (taps - 1) * step entries, and any j whose taps straddle a border, are not
+    blurred values; the caller slices them away.
+    """
+    span = padded.shape[1] - (kernels.shape[1] - 1) * step
+    out = np.zeros_like(padded)
+    term = np.empty((len(padded), span))
+    for i, k in enumerate(kernels.T[:, :, None]):
+        out[:, :span] += np.multiply(k, padded[:, i * step:i * step + span], out=term)
+    return out
+
+
+def gaussian_blur(images: np.ndarray, sigmas) -> np.ndarray:
+    """Separable Gaussian blur of each sample by its own sigma, clamp-to-edge borders.
 
     Kernel radius is ceil(3*sigma), normalized to sum 1; sigma below 0.05 is
-    treated as the identity.
+    treated as the identity. Samples of one radius are blurred together, and
+    each output pixel adds its taps in kernel order, so a sample's result does
+    not depend on the batch it is in.
     """
-    if sigma < 0:
-        raise ValueError(f"blur sigma must be >= 0, got {sigma}")
-    if sigma < BLUR_IDENTITY_BELOW:
-        return image.copy()
-    radius = math.ceil(3.0 * sigma)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
+    sigmas = _check_sigmas("blur", images, sigmas)
+    out = images.copy()
+    radii = np.where(sigmas < BLUR_IDENTITY_BELOW, 0, np.ceil(3.0 * sigmas)).astype(np.int64)
+    _, c, h, w = images.shape
+    for radius in np.unique(radii[radii > 0]).tolist():
+        group = np.flatnonzero(radii == radius)
+        offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+        kernels = np.exp(-0.5 * (offsets / sigmas[group, None]) ** 2)
+        kernels /= kernels.sum(axis=1, keepdims=True)
+        g = len(group)
 
-    plane = image[0].astype(np.float64)
-    padded = np.pad(plane, ((0, 0), (radius, radius)), mode="edge")
-    rows = np.zeros_like(plane)
-    for i, k in enumerate(kernel):
-        rows += k * padded[:, i:i + plane.shape[1]]
-    padded = np.pad(rows, ((radius, radius), (0, 0)), mode="edge")
-    out = np.zeros_like(plane)
-    for i, k in enumerate(kernel):
-        out += k * padded[i:i + plane.shape[0], :]
-    return out.astype(image.dtype)[None]
+        planes = images[group].astype(np.float64)
+        padded = np.pad(planes, ((0, 0), (0, 0), (0, 0), (radius, radius)), mode="edge")
+        rows = _tap_sum(padded.reshape(g, -1), kernels, 1).reshape(padded.shape)[..., :w]
+        padded = np.pad(rows, ((0, 0), (0, 0), (radius, radius), (0, 0)), mode="edge")
+        cols = _tap_sum(padded.reshape(g, -1), kernels, w).reshape(padded.shape)[:, :, :h]
+        out[group] = cols
+    return out
 
 
-def add_gaussian_noise(image: np.ndarray, sigma: float, rng: Rng) -> np.ndarray:
-    """Per-pixel N(0, sigma^2) added then clamped to [0, 1]."""
-    if sigma < 0:
-        raise ValueError(f"noise sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return image.copy()
-    noise = rng.normals(image.size).reshape(image.shape)
-    noisy = image.astype(np.float64) + sigma * noise
-    return np.clip(noisy, 0.0, 1.0).astype(image.dtype)
+def add_gaussian_noise(images: np.ndarray, sigmas, streams: Sequence[Rng]) -> np.ndarray:
+    """Per-pixel N(0, sigma^2) added to each sample then clamped to [0, 1].
+
+    Sample j's noise is the next C*H*W normals of streams[j]; a sample with sigma
+    0 is copied and draws nothing.
+    """
+    sigmas = _check_sigmas("noise", images, sigmas)
+    out = images.copy()
+    noisy = np.flatnonzero(sigmas > 0.0)
+    if len(noisy):
+        noise = normals([streams[j] for j in noisy.tolist()], images[0].size)
+        noise *= sigmas[noisy, None]
+        noise += images[noisy].reshape(len(noisy), -1)
+        out[noisy] = np.clip(noise, 0.0, 1.0, out=noise).reshape(-1, *images.shape[1:])
+    return out
+
+
+def _synthesize(config: GenConfig, start: int, out: Dataset) -> None:
+    """Samples start .. start + len(out) - 1 of the config, written into out's columns."""
+    streams = Rng(config.master_seed).substreams(start, start + len(out))
+    draws = draw(streams, 5)
+    out.base_labels[:] = draws[:, 0] % N_BASE_CLASSES
+    out.exp_labels[:] = draws[:, 1] % N_EXP_CLASSES
+    lo, hi = np.array([config.font_scale_range, config.noise_sigma_range,
+                       config.blur_sigma_range]).T
+    # float32 metadata, so dataset files round-trip it exactly
+    out.meta[:] = to_uniform(draws[:, 2:], lo, hi)
+    font_scale, noise_sigma, blur_sigma = out.meta.astype(np.float64).T
+
+    for j, (base, exp, scale) in enumerate(zip(out.base_labels.tolist(),
+                                               out.exp_labels.tolist(), font_scale.tolist())):
+        try:
+            out.images[j] = render_expression(BASE_DIGITS[0] + base, EXP_DIGITS[0] + exp,
+                                              scale, config.image_size)
+        except LayoutError as exc:
+            raise LayoutError(f"sample {start + j}: {exc}") from exc
+    out.images[:] = add_gaussian_noise(gaussian_blur(out.images, blur_sigma), noise_sigma,
+                                       streams)
+
+
+def _empty(n: int, image_size: tuple[int, int]) -> Dataset:
+    return Dataset(np.empty((n, 1, *image_size), DTYPE), np.empty(n, np.int64),
+                   np.empty(n, np.int64), np.empty((n, 3), DTYPE))
 
 
 def generate_sample(config: GenConfig, index: int) -> Sample:
     """Sample i of the dataset, identical whether generated alone or in bulk."""
-    stream = Rng(config.master_seed).substream(index)
-    base_label = stream.randint(N_BASE_CLASSES)
-    exp_label = stream.randint(N_EXP_CLASSES)
-    # metadata kept f32-representable so dataset files round-trip it exactly
-    font_scale = float(np.float32(stream.uniform(*config.font_scale_range)))
-    noise_sigma = float(np.float32(stream.uniform(*config.noise_sigma_range)))
-    blur_sigma = float(np.float32(stream.uniform(*config.blur_sigma_range)))
-
-    image = render_expression(BASE_DIGITS[0] + base_label, EXP_DIGITS[0] + exp_label,
-                              font_scale, config.image_size)
-    image = gaussian_blur(image, blur_sigma)
-    image = add_gaussian_noise(image, noise_sigma, stream)
-    return Sample(image, base_label, exp_label, (font_scale, noise_sigma, blur_sigma))
+    one = _empty(1, config.image_size)
+    _synthesize(config, index, one)
+    return one[0]
 
 
 def generate_dataset(config: GenConfig) -> Dataset:
-    """All samples of the config, in index order."""
-    n = config.count
-    ds = Dataset(np.empty((n, 1, *config.image_size), DTYPE), np.empty(n, np.int64),
-                 np.empty(n, np.int64), np.empty((n, 3), DTYPE))
-    for i in range(n):
-        try:
-            s = generate_sample(config, i)
-        except LayoutError as exc:
-            raise LayoutError(f"sample {i}: {exc}") from exc
-        ds.images[i], ds.base_labels[i], ds.exp_labels[i], ds.meta[i] = (
-            s.image, s.base_label, s.exp_label, s.meta)
+    """All samples of the config, in index order, synthesized CHUNK at a time."""
+    ds = _empty(config.count, config.image_size)
+    for start in range(0, config.count, CHUNK):
+        _synthesize(config, start, ds[start:start + CHUNK])
     return ds

@@ -9,9 +9,9 @@ the SplitMix64 finalizer
     z ^= z >> 31
 
 and ``GAMMA = 0x9E3779B97F4A7C15`` (the golden-ratio increment).  Because the
-k-th output depends only on (key, k), any block of draws can be produced in
-bulk with vectorized uint64 arithmetic, and the sequence is identical on every
-platform.
+k-th output depends only on (key, k), the next draws of one stream or of many
+are one vectorized uint64 computation (``draw``, a block at a time), and the
+sequence is identical on every platform.
 
 Substreams are hash-derived: ``substream(i)`` starts a fresh stream with key
 ``mix64(parent_key ^ ((i + 1) * GAMMA))``.  A substream therefore depends only
@@ -24,30 +24,89 @@ Floating-point conversions use the standard 53-bit mantissa mapping
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0 ** -53
 
-
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK
-    return z ^ (z >> 31)
+# Draws computed per block: 256 KB of uint64, so a block and its transform's
+# temporaries stay in cache and a bulk call's scratch does not grow with n.
+BLOCK = 1 << 15
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer, in place on a uint64 array."""
     z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
+    z *= _MIX1
     z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
+    z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+def to_uniform(raw: np.ndarray, lo, hi) -> np.ndarray:
+    """Raw outputs as float64 in [lo, hi): lo + ((raw >> 11) * 2**-53) * (hi - lo)."""
+    return lo + (raw >> np.uint64(11)) * _INV_2_53 * (hi - lo)
+
+
+def _box_muller(raw: np.ndarray, out: np.ndarray) -> None:
+    """Standard normals from consecutive pairs of raw outputs along the last axis."""
+    raw >>= np.uint64(11)
+    u1 = raw[:, 0::2] + 1.0                 # (0, 1] once scaled
+    u1 *= _INV_2_53
+    theta = raw[:, 1::2] * _INV_2_53        # [0, 1)
+    theta *= 2.0 * np.pi
+    r = np.log(u1, out=u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    np.multiply(r, np.cos(theta), out=out[:, 0::2])
+    np.multiply(r, np.sin(theta, out=theta), out=out[:, 1::2])
+
+
+def draw(streams: Sequence["Rng"], n: int, transform: Callable | None = None,
+         dtype=np.uint64) -> np.ndarray:
+    """The next n outputs of each stream, as a [len(streams), n] array; advances each by n.
+
+    The next output of a stream that has made c draws is ``mix64(key + (c + 1) *
+    GAMMA)``, so the draws of many streams are one array computation. It runs
+    over blocks of at most BLOCK
+    draws; ``transform(raw, out)`` turns each block of raw outputs (which it may
+    overwrite) into the matching block of the result, so no whole-size temporary
+    is made. A block spans whole rows when a row fits in it; otherwise its width
+    is BLOCK, so a transform that pairs columns sees even widths for even n.
+    """
+    out = np.empty((len(streams), n), dtype)
+    starts = np.array([s._count for s in streams], np.uint64)
+    starts *= _GAMMA
+    starts += np.array([s._key for s in streams], np.uint64)
+    cols = max(1, min(n, BLOCK))
+    rows = max(1, BLOCK // cols)
+    for c0 in range(0, n, cols):
+        steps = np.arange(c0 + 1, min(n, c0 + cols) + 1, dtype=np.uint64)
+        steps *= _GAMMA
+        for r0 in range(0, len(streams), rows):
+            raw = _mix64(starts[r0:r0 + rows, None] + steps)
+            block = out[r0:r0 + rows, c0:c0 + cols]
+            if transform is None:
+                block[...] = raw
+            else:
+                transform(raw, block)
+    for s in streams:
+        s._count += n
+    return out
+
+
+def normals(streams: Sequence["Rng"], n: int) -> np.ndarray:
+    """n standard normal float64 draws from each stream, as [len(streams), n].
+
+    Box-Muller on consecutive pairs; an odd n takes n + 1 draws from each stream.
+    """
+    return draw(streams, n + n % 2, _box_muller, np.float64)[:, :n]
 
 
 class Rng:
@@ -61,25 +120,25 @@ class Rng:
     def key(self) -> int:
         return self._key
 
+    def substreams(self, start: int, stop: int) -> list["Rng"]:
+        """Substreams start .. stop - 1 of this stream, each keyed by (this key, index)."""
+        if start < 0:
+            raise ValueError(f"substream index must be >= 0, got {start}")
+        keys = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        keys *= _GAMMA
+        keys ^= np.uint64(self._key)
+        return [Rng(k) for k in _mix64(keys).tolist()]
+
     def substream(self, index: int) -> "Rng":
         """Fresh stream keyed by (this stream's key, index); order-independent."""
-        if index < 0:
-            raise ValueError(f"substream index must be >= 0, got {index}")
-        child = Rng(0)
-        child._key = _mix64(self._key ^ ((index + 1) * _GAMMA & _MASK))
-        return child
+        return self.substreams(index, index + 1)[0]
 
     def next_u64(self) -> int:
-        self._count += 1
-        return _mix64((self._key + self._count * _GAMMA) & _MASK)
+        return int(self.u64(1)[0])
 
     def u64(self, n: int) -> np.ndarray:
         """Next n raw outputs as a uint64 array."""
-        ks = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        ks *= np.uint64(_GAMMA)
-        ks += np.uint64(self._key)
-        return _mix64_array(ks)
+        return draw([self], n)[0]
 
     def randint(self, bound: int) -> int:
         """Uniform integer in [0, bound). Modulo bias is < bound/2**64."""
@@ -87,25 +146,14 @@ class Rng:
             raise ValueError(f"bound must be positive, got {bound}")
         return self.next_u64() % bound
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (self.next_u64() >> 11) * _INV_2_53 * (hi - lo)
-
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        u = (self.u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return lo + u * (hi - lo)
+        def transform(raw, out):
+            out[...] = to_uniform(raw, lo, hi)
+        return draw([self], n, transform, np.float64)[0]
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal float64 draws (Box-Muller on consecutive pairs)."""
-        pairs = (n + 1) // 2
-        raw = self.u64(2 * pairs) >> np.uint64(11)
-        u1 = (raw[0::2].astype(np.float64) + 1.0) * _INV_2_53   # (0, 1]
-        u2 = raw[1::2].astype(np.float64) * _INV_2_53           # [0, 1)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return normals([self], n)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n), its n - 1 draws taken in one bulk call."""

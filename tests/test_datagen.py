@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from expnet.dataio import write_dataset
-from expnet.datagen import (GenConfig, add_gaussian_noise, gaussian_blur,
+from expnet.datagen import (CHUNK, GenConfig, add_gaussian_noise, gaussian_blur,
                             generate_dataset, generate_sample, render_expression)
 from expnet.errors import LayoutError
 from expnet.glyphs import GLYPH_H, GLYPH_W, GLYPHS
@@ -59,15 +60,28 @@ def test_render_layout_error_when_too_large():
 
 
 def test_noise_identity_at_zero_sigma():
-    img = render_expression(3, 4, 2.0)
-    out = add_gaussian_noise(img, 0.0, Rng(1))
+    img = render_expression(3, 4, 2.0)[None]
+    out = add_gaussian_noise(img, [0.0], [Rng(1)])
     assert np.array_equal(out, img)
     assert out is not img
 
 
+def test_noise_of_each_sample_comes_from_its_own_stream():
+    imgs = np.stack([render_expression(3, 4, 2.0), render_expression(5, 6, 2.5),
+                     render_expression(7, 8, 3.0)])
+    streams = [Rng(1), Rng(2), Rng(3)]
+    out = add_gaussian_noise(imgs, [0.2, 0.0, 0.1], streams)
+    for j, sigma in ((0, 0.2), (2, 0.1)):
+        assert np.array_equal(out[j:j + 1], add_gaussian_noise(imgs[j:j + 1], [sigma],
+                                                                [Rng(j + 1)]))
+    assert np.array_equal(out[1], imgs[1])
+    assert [s.next_u64() for s in streams] == [Rng(1).u64(4097)[-1], Rng(2).next_u64(),
+                                               Rng(3).u64(4097)[-1]]
+
+
 def test_noise_statistics():
-    img = np.full((1, 64, 64), 0.5, dtype=np.float32)
-    out = add_gaussian_noise(img, 0.1, Rng(2))
+    img = np.full((1, 1, 64, 64), 0.5, dtype=np.float32)
+    out = add_gaussian_noise(img, [0.1], [Rng(2)])
     assert out.shape == img.shape
     std = float(out.std())
     assert 0.08 < std < 0.12       # 3-sigma band for n=4096
@@ -75,12 +89,24 @@ def test_noise_statistics():
 
 
 def test_noise_clamped_to_unit_interval():
-    img = render_expression(5, 5, 2.5)
+    img = render_expression(5, 5, 2.5)[None]
     for sigma in (0.1, 0.5, 2.0):
-        out = add_gaussian_noise(img, sigma, Rng(3))
+        out = add_gaussian_noise(img, [sigma], [Rng(3)])
         assert out.min() >= 0.0 and out.max() <= 1.0
     with pytest.raises(ValueError):
-        add_gaussian_noise(img, -0.1, Rng(4))
+        add_gaussian_noise(img, [-0.1], [Rng(4)])
+
+
+@pytest.mark.parametrize("apply, kind", [
+    (lambda imgs, sigmas: gaussian_blur(imgs, sigmas), "blur"),
+    (lambda imgs, sigmas: add_gaussian_noise(imgs, sigmas, [Rng(1), Rng(2), Rng(3)]), "noise"),
+])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5])
+def test_non_finite_or_negative_sigma_rejected_naming_the_sample(apply, kind, bad):
+    imgs = np.full((3, 1, 8, 8), 0.5, dtype=np.float32)
+    with pytest.raises(ValueError,
+                       match=f"^{kind} sigma of sample 1 must be finite and >= 0, got"):
+        apply(imgs, [0.5, bad, 0.5])
 
 
 def blur_2d_oracle(plane: np.ndarray, sigma: float) -> np.ndarray:
@@ -100,31 +126,35 @@ def blur_2d_oracle(plane: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def test_blur_identity_cases():
-    img = render_expression(6, 1, 2.2)
-    assert np.array_equal(gaussian_blur(img, 0.0), img)
-    assert np.array_equal(gaussian_blur(img, 0.04), img)   # below threshold
-    const = np.full((1, 20, 20), 0.37, dtype=np.float32)
-    assert np.allclose(gaussian_blur(const, 1.5), const, atol=1e-6)
+    img = render_expression(6, 1, 2.2)[None]
+    assert np.array_equal(gaussian_blur(img, [0.0]), img)
+    assert np.array_equal(gaussian_blur(img, [0.04]), img)   # below threshold
+    const = np.full((1, 1, 20, 20), 0.37, dtype=np.float32)
+    assert np.allclose(gaussian_blur(const, [1.5]), const, atol=1e-6)
     with pytest.raises(ValueError):
-        gaussian_blur(img, -1.0)
+        gaussian_blur(img, [-1.0])
 
 
 def test_blur_matches_dense_2d_oracle():
-    rng = Rng(5)
-    img = rng.uniforms(24 * 24).reshape(1, 24, 24).astype(np.float32)
-    for sigma in (0.5, 1.0, 2.0):
-        ours = gaussian_blur(img, sigma)
-        oracle = blur_2d_oracle(img[0], sigma)
-        assert np.max(np.abs(ours[0].astype(np.float64) - oracle)) < 1e-6
+    # one batch mixing radii 2, 3, 6 and 3 again and the identity; each sample
+    # equals its own batch of one bit for bit
+    sigmas = [0.5, 1.0, 2.0, 0.9, 0.04]
+    imgs = Rng(5).uniforms(5 * 24 * 24).reshape(5, 1, 24, 24).astype(np.float32)
+    ours = gaussian_blur(imgs, sigmas)
+    for j, sigma in enumerate(sigmas):
+        assert np.array_equal(ours[j:j + 1], gaussian_blur(imgs[j:j + 1], [sigma]))
+        if sigma >= 0.05:
+            oracle = blur_2d_oracle(imgs[j, 0], sigma)
+            assert np.max(np.abs(ours[j, 0].astype(np.float64) - oracle)) < 1e-6
 
 
 def test_blur_point_mass_conserved_and_peak_drops():
-    img = np.zeros((1, 31, 31), dtype=np.float32)
-    img[0, 15, 15] = 1.0
-    out = gaussian_blur(img, 1.0)
+    img = np.zeros((1, 1, 31, 31), dtype=np.float32)
+    img[0, 0, 15, 15] = 1.0
+    out = gaussian_blur(img, [1.0])
     assert abs(float(out.sum()) - 1.0) < 1e-4   # kernel support well inside
     assert float(out.max()) < 1.0
-    assert out.max() == out[0, 15, 15]
+    assert out.max() == out[0, 0, 15, 15]
 
 
 def test_generate_dataset_contract():
@@ -152,9 +182,9 @@ def test_generate_dataset_deterministic():
 
 
 def test_sample_substream_isolation():
-    cfg = GenConfig(count=12, master_seed=77)
+    cfg = GenConfig(count=CHUNK + 12, master_seed=77)
     ds = generate_dataset(cfg)
-    for i in (0, 5, 11):
+    for i in (0, 5, CHUNK - 1, CHUNK, CHUNK + 11):
         alone = generate_sample(cfg, i)
         assert np.array_equal(alone.image, ds[i].image)
         assert alone.meta == ds[i].meta
@@ -207,6 +237,38 @@ def test_layout_error_carries_sample_index():
     cfg = GenConfig(count=3, master_seed=1, font_scale_range=(9.0, 9.0))
     with pytest.raises(LayoutError, match="sample 0"):
         generate_dataset(cfg)
+
+
+def test_layout_error_names_the_first_failing_sample_of_a_later_chunk():
+    # only scales above about 3.81 push the exponent off a 64px canvas
+    cfg = GenConfig(count=2 * CHUNK, master_seed=0, font_scale_range=(2.0, 3.9))
+
+    def fits(i):
+        stream = Rng(cfg.master_seed).substream(i)
+        base, exp = stream.randint(8), stream.randint(10)
+        scale = float(np.float32(stream.uniforms(1, *cfg.font_scale_range)[0]))
+        try:
+            render_expression(2 + base, exp, scale)
+        except LayoutError:
+            return False
+        return True
+
+    first = next(i for i in range(cfg.count) if not fits(i))
+    assert first >= CHUNK
+    with pytest.raises(LayoutError, match=f"^sample {first}: "):
+        generate_dataset(cfg)
+
+
+def test_generation_scratch_is_bounded():
+    cfg = GenConfig(count=1000, master_seed=8)
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in (ds.images, ds.base_labels, ds.exp_labels, ds.meta))
+    assert peak - output < 24e6, (peak, output)
 
 
 def test_label_balance_smoke():

@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expnet.rng import Rng
+from expnet.rng import BLOCK, Rng
 
 
 def test_same_seed_same_sequence():
@@ -89,6 +90,16 @@ def test_permutation_matches_scalar_fisher_yates():
 def test_bulk_draws_are_pinned(method, digest):
     # 2 * BLOCK + 3 draws end in a partial block, and an odd normals(n) takes n + 1
     rng = Rng(2024)
-    values = getattr(rng, method)(2 * (1 << 15) + 3)
+    values = getattr(rng, method)(2 * BLOCK + 3)
     following = rng.u64(3)
     assert hashlib.sha256(values.tobytes() + following.tobytes()).hexdigest() == digest
+
+
+def test_bulk_draw_scratch_is_bounded():
+    tracemalloc.start()
+    try:
+        u = Rng(0).uniforms(2 ** 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - u.nbytes < 3e6, peak
