@@ -72,13 +72,13 @@ def draw(streams: Sequence["Rng"], n: int, transform: Callable | None = None,
          dtype=np.uint64) -> np.ndarray:
     """The next n outputs of each stream, as a [len(streams), n] array; advances each by n.
 
-    The next output of a stream that has made c draws is ``mix64(key + (c + 1) *
-    GAMMA)``, so the draws of many streams are one array computation. It runs
-    over blocks of at most BLOCK
-    draws; ``transform(raw, out)`` turns each block of raw outputs (which it may
-    overwrite) into the matching block of the result, so no whole-size temporary
-    is made. A block spans whole rows when a row fits in it; otherwise its width
-    is BLOCK, so a transform that pairs columns sees even widths for even n.
+    The next output of a stream that has made c draws is
+    ``mix64(key + (c + 1) * GAMMA)``, so the draws of many streams are one array
+    computation. It runs over blocks of at most BLOCK draws; ``transform(raw,
+    out)`` turns each block of raw outputs (which it may overwrite) into the
+    matching block of the result, so no whole-size temporary is made. A block
+    spans whole rows when a row fits in it; otherwise its width is BLOCK, so a
+    transform that pairs columns sees even widths for even n.
     """
     out = np.empty((len(streams), n), dtype)
     starts = np.array([s._count for s in streams], np.uint64)
