@@ -229,6 +229,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: no such file", file=sys.stderr)
         return 1
+    except OSError as exc:      # a directory, a denied permission, a full disk, ...
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
+        return 1
     except (ExpnetError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,9 +2,11 @@
 
 Each sample is rendered white-on-black (foreground 1.0), blurred, then
 noised; blur models optics, noise models the sensor, and doing noise last
-keeps its statistics measurable on the output.  Sample i draws everything
-from substream (master_seed, i), so a dataset is a pure function of its
-config and any sample can be regenerated in isolation.
+keeps its statistics measurable on the output; the pixels are kept as the
+uint8 bytes an EXPD file stores, and ``to_float`` is their one conversion back
+to float32.  Sample i draws everything from substream (master_seed, i), so a
+dataset is a pure function of its config and any sample can be regenerated in
+isolation.
 
 Per-sample draw order within the substream: base digit, exponent digit,
 font scale, noise sigma, blur sigma, then the noise field.
@@ -67,30 +69,53 @@ class GenConfig:
                 raise ValueError(f"{name} must be finite and {rule}, got ({lo}, {hi})")
 
 
+def to_float(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels, round(p * 255), as the float32 images p in [0, 1] the model reads."""
+    return pixels.astype(DTYPE) / 255.0
+
+
 @dataclass(frozen=True)
 class Sample:
-    image: np.ndarray                 # [1, H, W] float32 in [0, 1]
+    pixels: np.ndarray                # [1, H, W] uint8, as EXPD stores them
     base_label: int                   # the base digit minus BASE_DIGITS[0]
     exp_label: int                    # the exponent digit minus EXP_DIGITS[0]
     meta: tuple[float, float, float]  # (font_scale, noise_sigma, blur_sigma)
+
+    @property
+    def image(self) -> np.ndarray:    # [1, H, W] float32 in [0, 1]
+        return to_float(self.pixels)
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Samples as columns: ds[i] is a Sample viewing them, ds[slice or index array] a Dataset."""
-    images: np.ndarray       # [N, 1, H, W] float32 in [0, 1]
+    pixels: np.ndarray       # [N, 1, H, W] uint8, as EXPD stores them
     base_labels: np.ndarray  # [N] int64
     exp_labels: np.ndarray   # [N] int64
     meta: np.ndarray         # [N, 3] float32, Sample.meta's order
+
+    def __post_init__(self):
+        if self.pixels.dtype != np.uint8 or self.pixels.ndim != 4 or self.pixels.shape[1] != 1:
+            raise ShapeError(f"pixels must be uint8 [N, 1, H, W], "
+                             f"got {self.pixels.dtype} {self.pixels.shape}")
+
+    @classmethod
+    def empty(cls, n: int, image_size: tuple[int, int]) -> Dataset:
+        return cls(np.empty((n, 1, *image_size), np.uint8), np.empty(n, np.int64),
+                   np.empty(n, np.int64), np.empty((n, 3), DTYPE))
+
+    @property
+    def images(self) -> np.ndarray:   # [N, 1, H, W] float32 in [0, 1]
+        return to_float(self.pixels)
 
     def __len__(self) -> int:
         return len(self.base_labels)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return Sample(self.images[key], int(self.base_labels[key]),
+            return Sample(self.pixels[key], int(self.base_labels[key]),
                           int(self.exp_labels[key]), tuple(self.meta[key].tolist()))
-        return Dataset(self.images[key], self.base_labels[key], self.exp_labels[key],
+        return Dataset(self.pixels[key], self.base_labels[key], self.exp_labels[key],
                        self.meta[key])
 
     def check_labels(self) -> None:
@@ -230,32 +255,29 @@ def _synthesize(config: GenConfig, start: int, out: Dataset) -> None:
     out.meta[:] = to_uniform(draws[:, 2:], lo, hi)
     font_scale, noise_sigma, blur_sigma = out.meta.astype(np.float64).T
 
+    images = np.empty((len(out), 1, *config.image_size), DTYPE)
     for j, (base, exp, scale) in enumerate(zip(out.base_labels.tolist(),
                                                out.exp_labels.tolist(), font_scale.tolist())):
         try:
-            out.images[j] = render_expression(BASE_DIGITS[0] + base, EXP_DIGITS[0] + exp,
-                                              scale, config.image_size)
+            images[j] = render_expression(BASE_DIGITS[0] + base, EXP_DIGITS[0] + exp,
+                                          scale, config.image_size)
         except LayoutError as exc:
             raise LayoutError(f"sample {start + j}: {exc}") from exc
-    out.images[:] = add_gaussian_noise(gaussian_blur(out.images, blur_sigma), noise_sigma,
-                                       streams)
-
-
-def _empty(n: int, image_size: tuple[int, int]) -> Dataset:
-    return Dataset(np.empty((n, 1, *image_size), DTYPE), np.empty(n, np.int64),
-                   np.empty(n, np.int64), np.empty((n, 3), DTYPE))
+    images = add_gaussian_noise(gaussian_blur(images, blur_sigma), noise_sigma, streams)
+    # the bytes EXPD stores, rint(p * 255), computed in place on the chunk's float32 images
+    out.pixels[:] = np.rint(np.multiply(images, 255.0, out=images), out=images)
 
 
 def generate_sample(config: GenConfig, index: int) -> Sample:
     """Sample i of the dataset, identical whether generated alone or in bulk."""
-    one = _empty(1, config.image_size)
+    one = Dataset.empty(1, config.image_size)
     _synthesize(config, index, one)
     return one[0]
 
 
 def generate_dataset(config: GenConfig) -> Dataset:
     """All samples of the config, in index order, synthesized CHUNK at a time."""
-    ds = _empty(config.count, config.image_size)
+    ds = Dataset.empty(config.count, config.image_size)
     for start in range(0, config.count, CHUNK):
         _synthesize(config, start, ds[start:start + CHUNK])
     return ds

@@ -2,11 +2,11 @@
 
 Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 2 9 0 9 (the only
 digit bounds, model.BASE_DIGITS and EXP_DIGITS); then one packed record per
-sample (``record_dtype``): H*W pixel bytes (round(p*255)), u8 base_label, u8
-exp_label (each the digit minus its lowest), and three f32
-metadata values (font_scale, noise_sigma, blur_sigma), written as one record
-array and read WRITE_ROWS records at a time.  Pixels are quantized to 1/255,
-far below the noise scales; labels and metadata round-trip exactly.
+sample (``record_dtype``): H*W pixel bytes, u8 base_label, u8 exp_label (each
+the digit minus its lowest), and three f32 metadata values (font_scale,
+noise_sigma, blur_sigma), written as one record array and read READ_ROWS
+records at a time.  Every column is copied as the Dataset holds it, pixels
+included, so a dataset round-trips exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .model import BASE_DIGITS, EXP_DIGITS, N_BASE_CLASSES, N_EXP_CLASSES
 
 MAGIC = b"EXPD"
 VERSION = 1
-WRITE_ROWS = 1024   # rows converted at a time: 16 MB per float temporary at 64x64
+READ_ROWS = 1024    # records read at a time: a 4 MB buffer at 64x64
 HEADER_SIZE = 24    # magic, four u32 and four u8
 DIGITS = bytes((*BASE_DIGITS, *EXP_DIGITS))   # the header's digit bounds at offset 20
 
@@ -80,33 +80,30 @@ class ByteReader:
 
 
 def record_dtype(h: int, w: int) -> np.dtype:
-    """One sample's packed EXPD record."""
-    return np.dtype([("pixels", "u1", (1, h, w)), ("base", "u1"), ("exp", "u1"),
+    """One sample's packed EXPD record; each field is named after its Dataset column."""
+    return np.dtype([("pixels", "u1", (1, h, w)), ("base_labels", "u1"), ("exp_labels", "u1"),
                      ("meta", "<f4", (3,))])
 
 
 def write_dataset(dataset: Dataset, path: str) -> None:
     if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
-    _, _, h, w = dataset.images.shape
+    _, _, h, w = dataset.pixels.shape
     dataset.check_labels()
     bad = ~np.isfinite(dataset.meta).all(axis=1)
     if bad.any():
         i = int(bad.argmax())
         raise ValueError(f"sample {i} metadata {dataset[i].meta} is not finite")
     records = np.empty(len(dataset), record_dtype(h, w))
-    for lo in range(0, len(dataset), WRITE_ROWS):
-        rows = slice(lo, lo + WRITE_ROWS)
-        records["pixels"][rows] = np.round(dataset.images[rows] * 255.0)
-    records["base"], records["exp"] = dataset.base_labels, dataset.exp_labels
-    records["meta"] = dataset.meta
+    for name in records.dtype.names:
+        records[name] = getattr(dataset, name)
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<4I", VERSION, len(dataset), h, w) + DIGITS)
         f.write(records)   # the array's own buffer: no bytes copy of the whole file
 
 
 def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
-    """Read an EXPD file, WRITE_ROWS records at a time into preallocated columns.
+    """Read an EXPD file, READ_ROWS records at a time into preallocated columns.
 
     The file's length is checked against its header before any record is
     read, so only one slice of records is ever held besides the columns.
@@ -131,31 +128,26 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
         size = h * w + 14          # Python ints: a huge image size cannot overflow a dtype
         start = reader.skip(count * size)
         reader.expect_end()
-        rec = record_dtype(h, w)
-        dataset = Dataset(np.empty((count, 1, h, w), np.float32), np.empty(count, np.int64),
-                          np.empty(count, np.int64), np.empty((count, 3), np.float32))
-        buffer = np.empty(min(count, WRITE_ROWS), rec)
-        for lo in range(0, count, WRITE_ROWS):
+        dataset = Dataset.empty(count, (h, w))
+        buffer = np.empty(min(count, READ_ROWS), record_dtype(h, w))
+        for lo in range(0, count, READ_ROWS):
             records = buffer[:count - lo]
             if f.readinto(records) != records.nbytes:
                 raise TruncatedFileError(f"{path}: file shrank while being read")
-            bad = (records["base"] >= N_BASE_CLASSES) | (records["exp"] >= N_EXP_CLASSES)
+            part = dataset[lo:lo + len(records)]     # views of the columns
+            for name in records.dtype.names:
+                getattr(part, name)[:] = records[name]
+            bad = (part.base_labels >= N_BASE_CLASSES) | (part.exp_labels >= N_EXP_CLASSES)
             if bad.any():
                 i = int(bad.argmax())
                 raise FileFormatError(
-                    f"{path}: sample {lo + i} labels ({records['base'][i]}, "
-                    f"{records['exp'][i]}) at offset {start + (lo + i) * size + h * w} "
+                    f"{path}: sample {lo + i} labels ({part.base_labels[i]}, "
+                    f"{part.exp_labels[i]}) at offset {start + (lo + i) * size + h * w} "
                     f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
-            bad = ~np.isfinite(records["meta"]).all(axis=1)
+            bad = ~np.isfinite(part.meta).all(axis=1)
             if bad.any():
                 i = int(bad.argmax())
                 raise FileFormatError(
-                    f"{path}: sample {lo + i} metadata {tuple(records['meta'][i].tolist())} at "
+                    f"{path}: sample {lo + i} metadata {tuple(part.meta[i].tolist())} at "
                     f"offset {start + (lo + i) * size + h * w + 2} is not finite")
-            rows = slice(lo, lo + len(records))
-            dataset.images[rows] = records["pixels"]
-            dataset.images[rows] /= 255.0
-            dataset.base_labels[rows] = records["base"]
-            dataset.exp_labels[rows] = records["exp"]
-            dataset.meta[rows] = records["meta"]
     return dataset, DatasetHeader(count, (h, w))

@@ -32,11 +32,13 @@ def evaluate(model: MultiOutputModel, dataset: Dataset,
     """Argmax predictions per head; joint = both heads correct.
 
     Runs the forward pass EVAL_CHUNK images at a time to bound its memory,
-    with its scratch arrays in ``workspace`` when one is given.
+    with its scratch arrays in ``workspace`` when one is given.  A label
+    outside its head's classes raises ValueError naming the sample first.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
+    dataset.check_labels()
     loss_sum = 0.0
     base_pred, exp_pred = [], []
     for lo in range(0, n, EVAL_CHUNK):

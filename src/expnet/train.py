@@ -107,12 +107,15 @@ def train(dataset: Dataset, config: TrainConfig,
 
     Resuming at start_epoch k with the state saved after k epochs replays the
     exact same remaining epochs as an uninterrupted run; early-stopping
-    counters start fresh on resume. An initial_adam whose lr, betas or eps
-    would turn the parameters NaN or step them backwards, or a label outside
-    its head's classes, raises ValueError before the first step.  Non-finite
+    counters start fresh on resume. A start_epoch outside [0, config.epochs),
+    an initial_adam whose lr, betas or eps would turn the parameters NaN or
+    step them backwards, or a label outside its head's classes, raises
+    ValueError before the first step.  Non-finite
     logits in a step or in validation raise TrainingDivergedError naming the
     epoch and the batch.
     """
+    if not 0 <= start_epoch < config.epochs:
+        raise ValueError(f"start_epoch must be in [0, {config.epochs}), got {start_epoch}")
     n = len(dataset)
     n_val = max(1, int(round(config.validation_fraction * n)))
     if n_val >= n:
@@ -183,8 +186,6 @@ def train(dataset: Dataset, config: TrainConfig,
                 stopped_early = True
                 break
 
-    if not history:
-        raise ValueError("no epochs were run (start_epoch >= config.epochs)")
     if best_val == np.inf:
         best_model = _clone_model(model)
         best_epoch = history[-1].epoch

@@ -146,6 +146,18 @@ def test_missing_file_reports_path(tmp_path, capsys):
     assert "nope" in err
 
 
+def test_directory_paths_are_reported_not_raised(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model = tmp_path / "m.ckpt"
+    assert cli_main(["train", "--data", str(folder), "--out", str(model), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+    assert not model.exists()
+    assert cli_main(["generate", "--count", "3", "--seed", "1", "--out", str(folder)]) == 1
+    assert capsys.readouterr().err == f"error: {folder}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [folder] and not any(folder.iterdir())
+
+
 def test_train_rejects_bad_lr_before_writing(tmp_path, capsys):
     data = str(tmp_path / "d.bin")
     model = tmp_path / "m.ckpt"

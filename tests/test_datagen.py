@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from expnet.dataio import write_dataset
-from expnet.datagen import (CHUNK, GenConfig, add_gaussian_noise, gaussian_blur,
+from expnet.datagen import (CHUNK, Dataset, GenConfig, add_gaussian_noise, gaussian_blur,
                             generate_dataset, generate_sample, render_expression)
-from expnet.errors import LayoutError
+from expnet.errors import LayoutError, ShapeError
 from expnet.glyphs import GLYPH_H, GLYPH_W, GLYPHS
 from expnet.rng import Rng
 
@@ -193,11 +193,32 @@ def test_sample_substream_isolation():
         assert alone.meta == tuple(ds.meta[i].tolist())
 
 
+@pytest.mark.parametrize("pixels", [
+    np.zeros((4, 1, 8, 8), np.float32),     # float images in [0, 1] would read as [0, 1/255]
+    np.zeros((4, 1, 8, 8), np.int64),
+    np.zeros((4, 8, 8), np.uint8),
+    np.zeros((4, 3, 8, 8), np.uint8),
+])
+def test_dataset_refuses_pixels_that_are_not_uint8_n1hw(pixels):
+    labels, meta = np.zeros(4, np.int64), np.zeros((4, 3), np.float32)
+    with pytest.raises(ShapeError, match=r"^pixels must be uint8 \[N, 1, H, W\], got "):
+        Dataset(pixels, labels, labels, meta)
+
+
+def test_images_are_the_pixels_over_255():
+    ds = generate_dataset(GenConfig(count=5, master_seed=31))
+    expect = ds.pixels.astype(np.float32) / np.float32(255.0)
+    assert ds.images.dtype == np.float32 and np.array_equal(ds.images, expect)
+    assert np.array_equal(ds[2].image, expect[2]) and np.array_equal(ds[1:4].images, expect[1:4])
+    with pytest.raises(AttributeError):
+        ds.images = expect
+
+
 def _digests(ds, tmp_path) -> tuple[str, str]:
-    """SHA-256 of the dataset's EXPD file and of its float32 and int64 columns."""
+    """SHA-256 of the dataset's EXPD file and of its uint8, int64 and float32 columns."""
     path = tmp_path / "d.bin"
     write_dataset(ds, str(path))
-    columns = b"".join(a.tobytes() for a in (ds.images, ds.base_labels, ds.exp_labels, ds.meta))
+    columns = b"".join(a.tobytes() for a in (ds.pixels, ds.base_labels, ds.exp_labels, ds.meta))
     return (hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(columns).hexdigest())
 
 
@@ -205,16 +226,16 @@ def _digests(ds, tmp_path) -> tuple[str, str]:
     # 300 samples cross a chunk boundary and reach blur radii 1-6 and sigmas below 0.05
     (GenConfig(count=300, master_seed=2024),
      "7d5bea063f82bf676f167d07d0b14953168612295e1621d5933c80819cf74203",
-     "b0b7b3172c4c69dd1be815d9f4fe4e08fecfb5221884cd15b0188cee451622d9"),
+     "82598ace7eadc0b466e48165ba406a3fe57a7450daac755bed1511d7f9ca4dd6"),
     # no noise draws and the identity blur only
     (GenConfig(count=40, master_seed=5, noise_sigma_range=(0.0, 0.0),
                blur_sigma_range=(0.0, 0.04)),
      "e5f2c5186a95088c0aec73c4ffcb55c3fa5695ed26916e6d506ae774808e2da9",
-     "8894924a56ec2d887057d4e3d723e546efc92ca199e18b631312c8aa2b2f738b"),
+     "8cb4599d7273277b20c1ff7106a46cbc49f89a377ff3bf8d78f9888ca668deae"),
     # a non-square canvas with an odd pixel count, so each noise field takes one extra draw
     (GenConfig(count=40, master_seed=6, image_size=(33, 47), font_scale_range=(1.2, 1.8)),
      "b83d40d3145faed85fb52d47a67a2c2b725020a67178e49d47680c1d5dc0e4d4",
-     "653e376333fe880afa66c4d0f1b844f0700b88f33514e87d5dcd08619a4e3b4d"),
+     "323af60289b6631af535fc17082a5bd97fcaa2675fbf149988cf08a306a6681f"),
 ])
 def test_generated_bytes_are_pinned(config, expd, columns, tmp_path):
     ds = generate_dataset(config)
@@ -267,7 +288,7 @@ def test_generation_scratch_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = sum(a.nbytes for a in (ds.images, ds.base_labels, ds.exp_labels, ds.meta))
+    output = sum(a.nbytes for a in (ds.pixels, ds.base_labels, ds.exp_labels, ds.meta))
     assert peak - output < 24e6, (peak, output)
 
 

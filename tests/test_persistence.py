@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from expnet.checkpoint import read_checkpoint, write_checkpoint
-from expnet.dataio import WRITE_ROWS, ByteReader, read_dataset, record_dtype, write_dataset
+from expnet.dataio import READ_ROWS, ByteReader, read_dataset, record_dtype, write_dataset
 from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
@@ -33,12 +33,12 @@ def test_dataset_round_trip(tmp_path):
     for a, b in zip(ds, back):
         assert (a.base_label, a.exp_label) == (b.base_label, b.exp_label)
         assert a.meta == b.meta
-        assert np.max(np.abs(a.image - b.image)) <= 1.0 / 255.0
-    assert np.shares_memory(back[3].image, back.images)
+        assert np.array_equal(a.pixels, b.pixels) and np.array_equal(a.image, b.image)
+    assert np.shares_memory(back[3].pixels, back.pixels)
     for key in (slice(2, 7), np.array([9, 0, 4])):
         part = back[key]
         assert isinstance(part, Dataset)
-        assert np.array_equal(part.images, back.images[key])
+        assert np.array_equal(part.pixels, back.pixels[key])
         assert np.array_equal(part.base_labels, back.base_labels[key])
         assert np.array_equal(part.exp_labels, back.exp_labels[key])
         assert np.array_equal(part.meta, back.meta[key])
@@ -54,6 +54,18 @@ def test_dataset_bytes_are_pinned(tmp_path):
         "5a8bae59541065711df1d54554f4381726ff1d466dc53327805f6582bd13ac53")
 
 
+def test_generated_dataset_equals_its_file(tmp_path):
+    # two chunks of default samples: every pixel, label and metadata value survives the file
+    ds = generate_dataset(GenConfig(count=300, master_seed=2024))
+    path = str(tmp_path / "d.bin")
+    write_dataset(ds, path)
+    back, _ = read_dataset(path)
+    for column in ("pixels", "base_labels", "exp_labels", "meta"):
+        a, b = getattr(ds, column), getattr(back, column)
+        assert a.dtype == b.dtype and np.array_equal(a, b), column
+    assert np.array_equal(ds.images, back.images)
+
+
 def test_dataset_write_is_deterministic(tmp_path):
     ds = generate_dataset(GenConfig(count=8, master_seed=45))
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
@@ -63,12 +75,12 @@ def test_dataset_write_is_deterministic(tmp_path):
 
 
 def test_dataset_read_holds_one_slice_of_records(tmp_path):
-    # the reader converts WRITE_ROWS records at a time into the columns, so it
-    # never holds the file's bytes beside the images: 8 slices' worth here
-    n = 8 * WRITE_ROWS
+    # the reader copies READ_ROWS records at a time into the columns, so it
+    # never holds the file's bytes beside the pixels: 8 slices' worth here
+    n = 8 * READ_ROWS
     r = Rng(12)
-    images = np.round(r.uniforms(n * 16 * 16) * 255).reshape(n, 1, 16, 16) / 255
-    ds = Dataset(images.astype(np.float32), np.arange(n) % 8, np.arange(n) % 10,
+    pixels = (r.uniforms(n * 16 * 16) * 256).astype(np.uint8).reshape(n, 1, 16, 16)
+    ds = Dataset(pixels, np.arange(n) % 8, np.arange(n) % 10,
                  r.uniforms(3 * n).reshape(n, 3).astype(np.float32))
     path = str(tmp_path / "d.bin")
     write_dataset(ds, path)
@@ -78,9 +90,9 @@ def test_dataset_read_holds_one_slice_of_records(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.images, ds.images) and np.array_equal(back.meta, ds.meta)
+    assert np.array_equal(back.pixels, ds.pixels) and np.array_equal(back.meta, ds.meta)
     assert np.array_equal(back.exp_labels, ds.exp_labels)
-    assert peak < back.images.nbytes + os.path.getsize(path) // 2
+    assert peak < back.pixels.nbytes + os.path.getsize(path) // 2
 
 
 def test_dataset_bad_magic(tmp_path):
@@ -148,9 +160,9 @@ def test_dataset_label_out_of_range_rejected(tmp_path):
 
 
 def test_dataset_non_finite_metadata_rejected(tmp_path):
-    # sample 1025 is in the reader's second slice of WRITE_ROWS records
-    n, i = WRITE_ROWS + 4, WRITE_ROWS + 1
-    ds = Dataset(np.zeros((n, 1, 4, 4), np.float32), np.arange(n) % 8, np.arange(n) % 10,
+    # sample 1025 is in the reader's second slice of READ_ROWS records
+    n, i = READ_ROWS + 4, READ_ROWS + 1
+    ds = Dataset(np.zeros((n, 1, 4, 4), np.uint8), np.arange(n) % 8, np.arange(n) % 10,
                  np.ones((n, 3), np.float32))
     path = tmp_path / "d.bin"
     ds.meta[i, 1] = np.nan

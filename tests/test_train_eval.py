@@ -75,6 +75,18 @@ def test_train_refuses_negative_label_before_the_first_step(monkeypatch):
         train(ds, TrainConfig(epochs=1), arch=SMALL_ARCH)
 
 
+@pytest.mark.parametrize("start_epoch", [-1, 3])
+def test_train_refuses_start_epoch_outside_the_epochs(start_epoch, monkeypatch):
+    # -1 would shuffle its epoch with substream 0, the validation split's own stream
+    def no_step(*args, **kwargs):
+        raise AssertionError("train() took a step")
+
+    monkeypatch.setattr(train_mod, "batch_loss_and_grads", no_step)
+    with pytest.raises(ValueError, match=rf"^start_epoch must be in \[0, 3\), got {start_epoch}$"):
+        train(small_dataset(30, 8), TrainConfig(epochs=3), arch=SMALL_ARCH,
+              start_epoch=start_epoch)
+
+
 @pytest.mark.parametrize("field, value", [
     ("lr", 0.0), ("lr", -1.0), ("lr", math.nan), ("lr", math.inf),
     ("beta1", -0.1), ("beta1", 1.0), ("beta1", math.nan),
@@ -117,7 +129,7 @@ def synthetic_samples(n, seed, hw=(16, 16)):
     rng = Rng(seed)
     labels = np.array([(rng.randint(8), rng.randint(10)) for _ in range(n)],
                       dtype=np.int64).reshape(n, 2)
-    return Dataset(np.zeros((n, 1, *hw), dtype=np.float32), labels[:, 0], labels[:, 1],
+    return Dataset(np.zeros((n, 1, *hw), dtype=np.uint8), labels[:, 0], labels[:, 1],
                    np.tile(np.array([2.0, 0.0, 0.0], dtype=np.float32), (n, 1)))
 
 
@@ -142,6 +154,21 @@ def test_evaluate_joint_bounded_and_confusion_conserves():
     assert np.array_equal(report.base_confusion.sum(axis=1), base_counts)
     assert np.array_equal(report.exp_confusion.sum(axis=1), exp_counts)
     assert report.base_confusion.sum() == 120
+
+
+@pytest.mark.parametrize("column, index, label", [("base_labels", 70, 8),
+                                                  ("exp_labels", 3, -1)])
+def test_evaluate_refuses_labels_outside_the_classes(column, index, label, monkeypatch):
+    ds = synthetic_samples(120, 9)
+    getattr(ds, column)[index] = label
+    model = MultiOutputModel.init(TINY_ARCH, 2)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("evaluate() ran a forward pass")
+
+    monkeypatch.setattr(model, "forward_batch", no_forward)
+    with pytest.raises(ValueError, match=rf"^sample {index} labels \(.*\) outside the 8 base"):
+        evaluate(model, ds)
 
 
 def test_evaluate_empty_dataset_rejected():
