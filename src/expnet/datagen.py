@@ -67,6 +67,13 @@ class GenConfig:
                 raise ValueError(f"{name} is empty: ({lo}, {hi})")
             if not ((lo > 0.0 if rule == "> 0" else lo >= 0.0) and hi < math.inf):
                 raise ValueError(f"{name} must be finite and {rule}, got ({lo}, {hi})")
+        # gaussian_blur's kernel radius is ceil(3 * sigma); for an integer side,
+        # ceil(3 * hi) > side iff 3 * hi > side, which cannot overflow as ceil can
+        lo, hi = self.blur_sigma_range
+        if 3.0 * hi > max(self.image_size):
+            raise ValueError(f"blur_sigma_range must be finite and give a kernel radius "
+                             f"ceil(3 * sigma) of at most {max(self.image_size)}, the image's "
+                             f"larger side, got ({lo}, {hi})")
 
 
 def to_float(pixels: np.ndarray) -> np.ndarray:

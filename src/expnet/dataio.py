@@ -4,9 +4,9 @@ Layout: magic, u32 version, u32 count, u32 H, u32 W, u8 2 9 0 9 (the only
 digit bounds, model.BASE_DIGITS and EXP_DIGITS); then one packed record per
 sample (``record_dtype``): H*W pixel bytes, u8 base_label, u8 exp_label (each
 the digit minus its lowest), and three f32 metadata values (font_scale,
-noise_sigma, blur_sigma), written as one record array and read READ_ROWS
-records at a time.  Every column is copied as the Dataset holds it, pixels
-included, so a dataset round-trips exactly.
+noise_sigma, blur_sigma), written and read as one record array.  The read
+Dataset's pixels and meta columns are views of that array, so a dataset
+round-trips exactly and the file's bytes are held once.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .model import BASE_DIGITS, EXP_DIGITS, N_BASE_CLASSES, N_EXP_CLASSES
 
 MAGIC = b"EXPD"
 VERSION = 1
-READ_ROWS = 1024    # records read at a time: a 4 MB buffer at 64x64
-HEADER_SIZE = 24    # magic, four u32 and four u8
 DIGITS = bytes((*BASE_DIGITS, *EXP_DIGITS))   # the header's digit bounds at offset 20
 
 
@@ -35,20 +34,21 @@ class DatasetHeader:
 
 
 class ByteReader:
-    """Sequential reader that turns short reads into TruncatedFileError.
+    """Sequential reader of an open binary file of ``size`` bytes.
 
-    ``size`` is the length of the whole file when ``data`` holds only its
-    first bytes; skip() and expect_end() check against it.
+    Every length is claimed against ``size`` in Python ints before anything
+    is allocated for it, so a declared length past the end of the file, or
+    one too large for any array, raises TruncatedFileError instead.
     """
 
-    def __init__(self, data: bytes, path: str, size: int | None = None):
-        self.data = data
-        self.pos = 0
+    def __init__(self, f: BinaryIO, path: str, size: int):
+        self.f = f
         self.path = path
-        self.size = len(data) if size is None else size
+        self.size = size
+        self.pos = 0
 
     def skip(self, n: int) -> int:
-        """Move past n bytes; returns the offset where they start."""
+        """Claim the next n bytes, to be read by fill(); returns the offset where they start."""
         if n < 0:
             raise FileFormatError(f"{self.path}: negative length {n} at offset {self.pos}")
         if self.pos + n > self.size:
@@ -57,20 +57,22 @@ class ByteReader:
         self.pos += n
         return self.pos - n
 
-    def take(self, n: int) -> bytes:
-        return self.data[self.skip(n):self.pos]
+    def take(self, n: int) -> bytearray:
+        """Claim and read the next n bytes."""
+        self.skip(n)
+        return self.fill(bytearray(n))
+
+    def fill(self, arr):
+        """Read the bytes the last skip() claimed straight into arr; returns arr."""
+        if self.f.readinto(arr) != memoryview(arr).nbytes:
+            raise TruncatedFileError(f"{self.path}: file shrank while being read")
+        return arr
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def u8(self) -> int:
         return self.take(1)[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
 
     def expect_end(self) -> None:
         """Raise FileFormatError unless every byte has been read."""
@@ -103,13 +105,13 @@ def write_dataset(dataset: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
-    """Read an EXPD file, READ_ROWS records at a time into preallocated columns.
+    """Read an EXPD file's records in one read; the Dataset's pixels and meta view them.
 
-    The file's length is checked against its header before any record is
-    read, so only one slice of records is ever held besides the columns.
+    The file's length is checked against its header before the records are
+    allocated; only the labels are copied, widened to int64.
     """
     with open(path, "rb") as f:
-        reader = ByteReader(f.read(HEADER_SIZE), path, size=os.fstat(f.fileno()).st_size)
+        reader = ByteReader(f, path, os.fstat(f.fileno()).st_size)
         if reader.take(4) != MAGIC:
             raise BadMagicError(f"{path}: not a dataset file (bad magic)")
         version = reader.u32()
@@ -128,26 +130,19 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
         size = h * w + 14          # Python ints: a huge image size cannot overflow a dtype
         start = reader.skip(count * size)
         reader.expect_end()
-        dataset = Dataset.empty(count, (h, w))
-        buffer = np.empty(min(count, READ_ROWS), record_dtype(h, w))
-        for lo in range(0, count, READ_ROWS):
-            records = buffer[:count - lo]
-            if f.readinto(records) != records.nbytes:
-                raise TruncatedFileError(f"{path}: file shrank while being read")
-            part = dataset[lo:lo + len(records)]     # views of the columns
-            for name in records.dtype.names:
-                getattr(part, name)[:] = records[name]
-            bad = (part.base_labels >= N_BASE_CLASSES) | (part.exp_labels >= N_EXP_CLASSES)
-            if bad.any():
-                i = int(bad.argmax())
-                raise FileFormatError(
-                    f"{path}: sample {lo + i} labels ({part.base_labels[i]}, "
-                    f"{part.exp_labels[i]}) at offset {start + (lo + i) * size + h * w} "
-                    f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
-            bad = ~np.isfinite(part.meta).all(axis=1)
-            if bad.any():
-                i = int(bad.argmax())
-                raise FileFormatError(
-                    f"{path}: sample {lo + i} metadata {tuple(part.meta[i].tolist())} at "
-                    f"offset {start + (lo + i) * size + h * w + 2} is not finite")
+        records = reader.fill(np.empty(count, record_dtype(h, w)))
+    dataset = Dataset(records["pixels"], records["base_labels"].astype(np.int64),
+                      records["exp_labels"].astype(np.int64), records["meta"])
+    bad = (dataset.base_labels >= N_BASE_CLASSES) | (dataset.exp_labels >= N_EXP_CLASSES)
+    if bad.any():
+        i = int(bad.argmax())
+        raise FileFormatError(
+            f"{path}: sample {i} labels ({dataset.base_labels[i]}, {dataset.exp_labels[i]}) "
+            f"at offset {start + i * size + h * w} "
+            f"outside the {N_BASE_CLASSES} base / {N_EXP_CLASSES} exp classes")
+    bad = ~np.isfinite(dataset.meta).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise FileFormatError(f"{path}: sample {i} metadata {tuple(dataset.meta[i].tolist())} at "
+                              f"offset {start + i * size + h * w + 2} is not finite")
     return dataset, DatasetHeader(count, (h, w))

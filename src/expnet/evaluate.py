@@ -77,14 +77,12 @@ def robustness_sweep(model: MultiOutputModel, base_config: GenConfig, attribute:
         raise ValueError(f"levels must be finite and non-negative, got {levels}")
     if sorted(levels) != list(levels):
         raise ValueError("levels must be sorted ascending")
-    results = []
-    for level in levels:
-        pinned = {f"{attribute}_sigma_range": (level, level)}
-        config = replace(base_config, count=per_level_count,
-                         master_seed=_level_seed(base_config.master_seed, attribute, level),
-                         **pinned)
-        results.append((level, evaluate(model, generate_dataset(config))))
-    return results
+    # every config is built first, so a level GenConfig refuses is refused before any work
+    configs = [replace(base_config, count=per_level_count,
+                       master_seed=_level_seed(base_config.master_seed, attribute, level),
+                       **{f"{attribute}_sigma_range": (level, level)}) for level in levels]
+    return [(level, evaluate(model, generate_dataset(config)))
+            for level, config in zip(levels, configs)]
 
 
 def histogram(values, bins: int | None = None) -> list[tuple[object, int]]:

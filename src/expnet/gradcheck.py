@@ -47,13 +47,13 @@ class GradCheckReport:
 
 
 def _loss_and_pattern(model: MultiOutputModel, image: np.ndarray,
-                      base_label: int, exp_label: int) -> tuple[float, bytes]:
+                      base_label: int, exp_label: int) -> tuple[float, np.ndarray]:
     base_logits, exp_logits, trace = model.forward_batch(image[None])
     base_loss, _ = softmax_ce_batch(base_logits, np.array([base_label]))
     exp_loss, _ = softmax_ce_batch(exp_logits, np.array([exp_label]))
     # a dead window routes DEAD whichever cell wins: its output is 0 either way
-    pattern = (*trace.routes, trace.hidden > 0)
-    return float(base_loss[0] + exp_loss[0]), b"".join(a.tobytes() for a in pattern)
+    pattern = np.concatenate([a.reshape(-1) for a in (*trace.routes, trace.hidden > 0)])
+    return float(base_loss[0] + exp_loss[0]), pattern
 
 
 def analytic_gradients(model: MultiOutputModel, image: np.ndarray,
@@ -94,7 +94,8 @@ def gradient_check(model: MultiOutputModel, image: np.ndarray, base_label: int,
             flat[i] = saved - eps
             down, pat_down = _loss_and_pattern(model64, image64, base_label, exp_label)
             flat[i] = saved
-            if pat_up != center_pattern or pat_down != center_pattern:
+            if not (np.array_equal(pat_up, center_pattern)
+                    and np.array_equal(pat_down, center_pattern)):
                 excluded += 1
                 continue
             numeric = (up - down) / (2.0 * eps)

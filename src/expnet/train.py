@@ -186,9 +186,6 @@ def train(dataset: Dataset, config: TrainConfig,
                 stopped_early = True
                 break
 
-    if best_val == np.inf:
-        best_model = _clone_model(model)
-        best_epoch = history[-1].epoch
     return TrainResult(best_model, history, model, adam, best_epoch, stopped_early)
 
 

@@ -188,6 +188,7 @@ def test_diverging_train_exits_1_without_writing(tmp_path, capsys):
 def test_non_finite_ranges_rejected_before_any_work(tmp_path, capsys):
     data = tmp_path / "d.bin"
     for flag, value, field in (("--blur-max", "inf", "blur_sigma_range"),
+                               ("--blur-max", "1e6", "blur_sigma_range"),
                                ("--noise-max", "nan", "noise_sigma_range"),
                                ("--font-min", "0", "font_scale_range")):
         assert cli_main(["generate", "--count", "2", "--seed", "1", "--out", str(data),

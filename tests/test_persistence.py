@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import struct
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 
 from expnet.checkpoint import read_checkpoint, write_checkpoint
-from expnet.dataio import READ_ROWS, ByteReader, read_dataset, record_dtype, write_dataset
+from expnet.dataio import ByteReader, read_dataset, record_dtype, write_dataset
 from expnet.datagen import Dataset, GenConfig, generate_dataset
 from expnet.errors import (ArchitectureMismatchError, BadMagicError, FileFormatError,
                            TruncatedFileError, VersionMismatchError)
 from expnet.model import (BASE_DIGITS, DEFAULT_ARCH, EXP_DIGITS, TINY_ARCH, Architecture,
                           MultiOutputModel)
-from expnet.optim import AdamState
+from expnet.optim import AdamState, adam_step
 from expnet.rng import Rng
 from expnet.train import TrainConfig, train
 
@@ -75,9 +76,9 @@ def test_dataset_write_is_deterministic(tmp_path):
 
 
 def test_dataset_read_holds_one_slice_of_records(tmp_path):
-    # the reader copies READ_ROWS records at a time into the columns, so it
-    # never holds the file's bytes beside the pixels: 8 slices' worth here
-    n = 8 * READ_ROWS
+    # the pixels column views the records read from the file, so the reader
+    # never holds the file's bytes beside the pixels
+    n = 8192
     r = Rng(12)
     pixels = (r.uniforms(n * 16 * 16) * 256).astype(np.uint8).reshape(n, 1, 16, 16)
     ds = Dataset(pixels, np.arange(n) % 8, np.arange(n) % 10,
@@ -160,8 +161,8 @@ def test_dataset_label_out_of_range_rejected(tmp_path):
 
 
 def test_dataset_non_finite_metadata_rejected(tmp_path):
-    # sample 1025 is in the reader's second slice of READ_ROWS records
-    n, i = READ_ROWS + 4, READ_ROWS + 1
+    # the offset named counts every record before sample 1025
+    n, i = 1028, 1025
     ds = Dataset(np.zeros((n, 1, 4, 4), np.uint8), np.arange(n) % 8, np.arange(n) % 10,
                  np.ones((n, 3), np.float32))
     path = tmp_path / "d.bin"
@@ -283,6 +284,45 @@ def test_checkpoint_with_adam_state(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    model = MultiOutputModel.init(TINY_ARCH, 5)
+    params = model.param_arrays()
+    state = AdamState.init(params, lr=0.01)
+    r = Rng(6)
+    adam_step(params, [r.normals(p.size).reshape(p.shape).astype(np.float32) for p in params],
+              state)
+    path = tmp_path / "m.ckpt"
+    for adam, size, digest in (
+            (None, 11037, "8d65ca77fbb9e4a5f34763f1496406c1c59105846048cddd59ce01e20effa430"),
+            (state, 32957, "29cd37185b7e864fe4effd8882a8127e7ce80a37e7521d45699cb90504b1e285")):
+        write_checkpoint(model, str(path), adam_state=adam)
+        blob = path.read_bytes()
+        assert len(blob) == size and hashlib.sha256(blob).hexdigest() == digest
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_checkpoint_io_holds_no_copy_of_the_file(tmp_path):
+    # the writer streams each tensor's own buffer; the reader fills each tensor from the file
+    model = MultiOutputModel.init(DEFAULT_ARCH, 77)
+    state = AdamState.init(model.param_arrays())
+    path = str(tmp_path / "m.ckpt")
+    _, write_peak = _traced_peak(write_checkpoint, model, path, state)
+    (back, adam), read_peak = _traced_peak(read_checkpoint, path)
+    size = os.path.getsize(path)
+    tensors = sum(a.nbytes for a in back.param_arrays() + adam.m + adam.v)
+    assert write_peak < size // 4
+    assert read_peak < tensors + size // 4
+
+
 def test_checkpoint_write_refuses_non_finite_tensors(tmp_path):
     # a diverged run must not save NaN weights: the file is never opened
     model = MultiOutputModel.init(TINY_ARCH, 3)
@@ -300,6 +340,34 @@ def test_checkpoint_write_refuses_non_finite_tensors(tmp_path):
     state.v[5][3] = 0.0
     write_checkpoint(model, str(path), adam_state=state)
     assert path.exists()
+
+
+def test_checkpoint_non_finite_tensors_rejected_at_read(tmp_path):
+    # the writer refuses such values, so patch them into a valid file's bytes
+    model = MultiOutputModel.init(TINY_ARCH, 3)
+    state = AdamState.init(model.param_arrays(), lr=0.01)
+    state.v[5][3] = 0.25
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(model, str(path), adam_state=state)
+    whole = path.read_bytes()
+    shapes = [shape for _, shape in TINY_ARCH.param_shapes()]
+
+    def value_at(section, k, i):
+        # offset of value i of tensor k; section 0 holds the parameters, 1 Adam m, 2 Adam v
+        at = 12 + struct.unpack_from("<I", whole, 8)[0] + 4 + (1 + 40 if section else 0)
+        for shape in shapes * section + shapes[:k + 1]:
+            at += 4 + 4 * len(shape) + 4 * math.prod(shape)
+        return at - 4 * math.prod(shapes[k]) + 4 * i
+
+    weights_at, v_at = value_at(0, 2, 7), value_at(2, 5, 3)
+    assert struct.unpack_from("<f", whole, weights_at)[0] == model.convs[1].weights.flat[7]
+    assert struct.unpack_from("<f", whole, v_at)[0] == 0.25
+    for at, bad, what in ((weights_at, np.nan, "conv1.weights"),
+                          (v_at, np.inf, "Adam v tensor of dense.bias")):
+        path.write_bytes(whole[:at] + struct.pack("<f", bad) + whole[at + 4:])
+        with pytest.raises(FileFormatError, match=f"m.ckpt: {what} holds a non-finite value "
+                                                  f"\\({bad}\\) at offset {at}$"):
+            read_checkpoint(str(path))
 
 
 def test_checkpoint_moment_shape_mismatch_rejected_at_read(tmp_path):
@@ -430,7 +498,7 @@ def test_checkpoint_huge_tensor_dims_rejected(tmp_path):
 
 
 def test_byte_reader_rejects_negative_length():
-    reader = ByteReader(b"\0" * 8, "f.bin")
+    reader = ByteReader(io.BytesIO(b"\0" * 8), "f.bin", 8)
     reader.take(3)
     with pytest.raises(FileFormatError, match="f.bin: negative length -1 at offset 3"):
         reader.take(-1)

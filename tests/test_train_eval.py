@@ -192,7 +192,7 @@ def test_sweep_contract_and_determinism():
     assert res3[0][1].mean_loss == res[1][1].mean_loss
 
 
-def test_sweep_rejects_bad_arguments():
+def test_sweep_rejects_bad_arguments(monkeypatch):
     model = MultiOutputModel.init(SMALL_ARCH, 1)
     cfg = GenConfig(count=1, master_seed=13)
     with pytest.raises(ValueError):
@@ -201,6 +201,11 @@ def test_sweep_rejects_bad_arguments():
         robustness_sweep(model, cfg, "noise", [0.4, 0.0], 5)
     with pytest.raises(ValueError):
         robustness_sweep(model, cfg, "blur", [-0.1], 5)
+    # a blur kernel wider than the image is refused before any level is generated
+    monkeypatch.setattr("expnet.evaluate.generate_dataset",
+                        lambda config: pytest.fail("a level was generated"))
+    with pytest.raises(ValueError, match="blur_sigma_range must be finite"):
+        robustness_sweep(model, cfg, "blur", [1.0, 30.0], 5)
 
 
 def test_histogram_categorical():
