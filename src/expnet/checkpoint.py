@@ -1,13 +1,14 @@
 """Model checkpoints: magic "EXPM", version 1, little-endian.
 
-Layout: magic, u32 version, length-prefixed architecture descriptor text,
-u32 tensor count, then each parameter tensor as u32 rank, u32 dims, raw f32
-data.  An optional trailer (flag u8 = 1) appends Adam state: f64 lr/beta1/
-beta2/eps, u64 step count, then the first- and second-moment tensors in
-parameter order.  Parameters round-trip bitwise; the descriptor alone is
-enough to rebuild the model.  The writer writes each tensor's own buffer and
-the reader reads each tensor's data straight into its array, so neither holds
-a copy of the file.
+Layout: magic, u32 version, length-prefixed architecture descriptor text
+(Architecture.to_text()), u32 tensor count, then each parameter tensor as u32
+rank, u32 dims, raw f32 data.  A flag u8 follows: 0 ends the file, and 1
+appends Adam state: f64 lr/beta1/beta2/eps, u64 step count, then the first-
+and second-moment tensors in parameter order.  Parameters round-trip bitwise.
+The descriptor alone is enough to rebuild the model, and it is read back only
+if it is exactly the text its architecture writes (Architecture.from_text).
+The writer writes each tensor's own buffer and the reader reads each tensor's
+data straight into its array, so neither holds a copy of the file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .dataio import ByteReader
-from .errors import ArchitectureMismatchError, BadMagicError, FileFormatError, VersionMismatchError
+from .errors import ArchitectureMismatchError, FileFormatError
 from .model import Architecture, MultiOutputModel
 from .optim import AdamState, check_adam_settings
 
@@ -91,16 +92,13 @@ def write_checkpoint(model: MultiOutputModel, path: str,
 def read_checkpoint(path: str) -> tuple[MultiOutputModel, AdamState | None]:
     """Rebuild (model, adam state) from a checkpoint file.
 
-    Adam settings that TrainConfig would reject, and a tensor holding a NaN
-    or an infinity, raise FileFormatError naming the field or the tensor.
+    Adam settings that TrainConfig would reject, a tensor holding a NaN or
+    an infinity, and an Adam flag other than 0 or 1 raise FileFormatError
+    naming the field, the tensor or the flag's offset.
     """
     with open(path, "rb") as f:
         reader = ByteReader(f, path, os.fstat(f.fileno()).st_size)
-        if reader.take(4) != MAGIC:
-            raise BadMagicError(f"{path}: not a checkpoint file (bad magic)")
-        version = reader.u32()
-        if version != VERSION:
-            raise VersionMismatchError(f"{path}: checkpoint version {version}, expected {VERSION}")
+        reader.expect_header(MAGIC, VERSION, "checkpoint")
         descriptor = reader.take(reader.u32())
         try:
             text = descriptor.decode()
@@ -115,7 +113,11 @@ def read_checkpoint(path: str) -> tuple[MultiOutputModel, AdamState | None]:
                 f"{path}: {n_tensors} parameter tensors, architecture implies {n_expected}")
         params = _read_tensors(reader, arch, "")
         adam = None
-        if reader.u8() == 1:
+        flag = reader.u8()
+        if flag > 1:
+            raise FileFormatError(f"{path}: Adam flag {flag} at offset {reader.pos - 1}; "
+                                  "expected 0 or 1")
+        if flag == 1:
             lr, beta1, beta2, eps, t = struct.unpack(ADAM, reader.take(struct.calcsize(ADAM)))
             try:
                 check_adam_settings(lr, beta1, beta2, eps)

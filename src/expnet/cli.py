@@ -11,10 +11,10 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .dataio import read_dataset, write_dataset
 from .datagen import GenConfig, generate_dataset
 from .errors import ExpnetError
-from .evaluate import evaluate, histogram, robustness_sweep
+from .evaluate import csv_text, evaluate, histogram, robustness_sweep
 from .gradcheck import build_probe, gradient_check
 from .losses import softmax
-from .model import BASE_DIGITS, EXP_DIGITS, model_forward
+from .model import BASE_DIGITS, EXP_DIGITS, Architecture, model_forward
 from .train import TrainConfig, history_csv, train
 
 
@@ -73,6 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _cmd_generate(args) -> int:
     size = (args.image_size, args.image_size)
     config = GenConfig(count=args.count, image_size=size,
@@ -87,14 +92,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples, _ = read_dataset(args.data)
+    samples, header = read_dataset(args.data)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                          early_stop_patience=args.patience, seed=args.seed)
-    result = train(samples, config, init_seed=args.seed)
+    result = train(samples, config, arch=Architecture(input_hw=header.image_size),
+                   init_seed=args.seed)
     write_checkpoint(result.model, args.out)
     if args.history:
-        with open(args.history, "w") as f:
-            f.write(history_csv(result.history))
+        _write_text(args.history, history_csv(result.history))
     last = result.history[-1]
     print(f"trained {len(result.history)} epochs"
           f"{' (early stop)' if result.stopped_early else ''}; "
@@ -115,23 +120,14 @@ def _cmd_eval(args) -> int:
     print(f"joint accuracy: {report.joint_accuracy:.4f}")
     print(f"mean loss:      {report.mean_loss:.4f}")
     if args.report:
-        rows = [("base_accuracy", report.base_accuracy),
-                ("exp_accuracy", report.exp_accuracy),
-                ("joint_accuracy", report.joint_accuracy),
-                ("mean_loss", report.mean_loss),
-                ("count", report.count)]
-        with open(args.report, "w") as f:
-            f.write("metric,value\n")
-            for name, value in rows:
-                f.write(f"{name},{value!r}\n")
+        names = ("base_accuracy", "exp_accuracy", "joint_accuracy", "mean_loss", "count")
+        _write_text(args.report, csv_text(["metric", "value"],
+                                          ((name, getattr(report, name)) for name in names)))
     if args.confusion:
-        with open(args.confusion, "w") as f:
-            f.write("head,true_class,predicted_class,count\n")
-            for head, conf in (("base", report.base_confusion),
-                               ("exponent", report.exp_confusion)):
-                for t in range(conf.shape[0]):
-                    for pr in range(conf.shape[1]):
-                        f.write(f"{head},{t},{pr},{conf[t, pr]}\n")
+        heads = (("base", report.base_confusion), ("exponent", report.exp_confusion))
+        _write_text(args.confusion, csv_text(
+            ["head", "true_class", "predicted_class", "count"],
+            ((head, t, pr, n) for head, conf in heads for (t, pr), n in np.ndenumerate(conf))))
     return 0
 
 
@@ -140,11 +136,10 @@ def _cmd_sweep(args) -> int:
     levels = [float(v) for v in args.levels.split(",") if v != ""]
     config = GenConfig(count=1, image_size=model.arch.input_hw, master_seed=args.seed)
     results = robustness_sweep(model, config, args.attr, levels, args.count_per_level)
-    with open(args.out, "w") as f:
-        f.write("attr,level,base_acc,exp_acc,joint_acc,mean_loss\n")
-        for level, rep in results:
-            f.write(f"{args.attr},{level!r},{rep.base_accuracy!r},{rep.exp_accuracy!r},"
-                    f"{rep.joint_accuracy!r},{rep.mean_loss!r}\n")
+    _write_text(args.out, csv_text(
+        ["attr", "level", "base_acc", "exp_acc", "joint_acc", "mean_loss"],
+        ((args.attr, level, rep.base_accuracy, rep.exp_accuracy, rep.joint_accuracy,
+          rep.mean_loss) for level, rep in results)))
     for level, rep in results:
         print(f"{args.attr}={level:g}: base {rep.base_accuracy:.3f} "
               f"exp {rep.exp_accuracy:.3f} joint {rep.joint_accuracy:.3f}")
@@ -161,13 +156,9 @@ def _cmd_hist(args) -> int:
     else:
         idx = 1 if args.attr == "noise" else 2
         buckets = histogram(dataset.meta[:, idx], bins=args.bins)
-    with open(args.out, "w") as f:
-        f.write("bucket,count\n")
-        for bucket, count in buckets:
-            if isinstance(bucket, tuple):
-                f.write(f"[{bucket[0]!r};{bucket[1]!r}),{count}\n")
-            else:
-                f.write(f"{bucket},{count}\n")
+    _write_text(args.out, csv_text(["bucket", "count"], (
+        (f"[{bucket[0]};{bucket[1]})" if isinstance(bucket, tuple) else bucket, count)
+        for bucket, count in buckets)))
     for bucket, count in buckets:
         print(f"{bucket}: {count}")
     return 0
@@ -228,6 +219,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: {exc.filename}: no such file", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size the flags allow but the machine cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:      # a directory, a denied permission, a full disk, ...
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",

@@ -7,6 +7,8 @@ the digit minus its lowest), and three f32 metadata values (font_scale,
 noise_sigma, blur_sigma), written and read as one record array.  The read
 Dataset's pixels and meta columns are views of that array, so a dataset
 round-trips exactly and the file's bytes are held once.
+ByteReader, with its one magic and version check, serves this reader and the
+checkpoint reader.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ class ByteReader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def expect_header(self, magic: bytes, version: int, kind: str) -> None:
+        """Read the magic and u32 version a file starts with; kind names the file in errors."""
+        if self.take(len(magic)) != magic:
+            raise BadMagicError(f"{self.path}: not a {kind} file (bad magic)")
+        found = self.u32()
+        if found != version:
+            raise VersionMismatchError(f"{self.path}: {kind} version {found}, expected {version}")
+
     def expect_end(self) -> None:
         """Raise FileFormatError unless every byte has been read."""
         if self.pos != self.size:
@@ -112,11 +122,7 @@ def read_dataset(path: str) -> tuple[Dataset, DatasetHeader]:
     """
     with open(path, "rb") as f:
         reader = ByteReader(f, path, os.fstat(f.fileno()).st_size)
-        if reader.take(4) != MAGIC:
-            raise BadMagicError(f"{path}: not a dataset file (bad magic)")
-        version = reader.u32()
-        if version != VERSION:
-            raise VersionMismatchError(f"{path}: dataset version {version}, expected {VERSION}")
+        reader.expect_header(MAGIC, VERSION, "dataset")
         count = reader.u32()
         if count == 0:
             raise FileFormatError(f"{path}: sample count 0 at offset 8; a dataset is never empty")

@@ -1,10 +1,11 @@
-"""Accuracy evaluation, robustness sweeps, and histogram reports."""
+"""Accuracy evaluation, robustness sweeps, histogram reports, and their CSV text."""
 
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,6 +62,14 @@ def evaluate(model: MultiOutputModel, dataset: Dataset,
                       loss_sum / n, base_conf, exp_conf, n)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one line per row of its values' str, comma-joined.
+
+    str gives a Python float the same shortest round-tripping text as repr.
+    """
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def _level_seed(master_seed: int, attribute: str, level: float) -> int:
     """Seed for one sweep level, a pure function of (seed, attribute, level)."""
     bits = struct.unpack("<Q", struct.pack("<d", float(level)))[0]
@@ -73,6 +82,8 @@ def robustness_sweep(model: MultiOutputModel, base_config: GenConfig, attribute:
     """Evaluate on fresh test sets with one corruption attribute pinned per level."""
     if attribute not in ("noise", "blur"):
         raise ValueError(f"attribute must be 'noise' or 'blur', got {attribute!r}")
+    if not levels:
+        raise ValueError("levels must not be empty")
     if not all(0.0 <= lv < math.inf for lv in levels):
         raise ValueError(f"levels must be finite and non-negative, got {levels}")
     if sorted(levels) != list(levels):

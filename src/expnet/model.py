@@ -126,35 +126,27 @@ class Architecture:
     def from_text(cls, text: str) -> "Architecture":
         """Parse to_text()'s descriptor; raises ArchitectureMismatchError if malformed.
 
-        The lines must be ``kernel 3 stride 1 pad 1``, ``pool 2 stride 2`` and
-        ``heads 8 10``, and the sizes pass the constructor's checks.
+        Only the ``input``, ``conv`` and ``dense`` sizes are read; the
+        architecture they build, which checks them, must then write exactly
+        ``text``.  Otherwise the error names the first line that differs and
+        the line expected there.
         """
         try:
-            fields = {}
-            for line in text.strip().splitlines():
-                parts = line.split()
-                fields[parts[0]] = parts[1:]
+            fields = {parts[0]: parts[1:] for parts in map(str.split, text.splitlines())}
             arch = cls(
                 input_hw=(int(fields["input"][0]), int(fields["input"][1])),
                 conv_channels=tuple(int(c) for c in fields["conv"]),
                 dense_width=int(fields["dense"][0]),
             )
-            conv = tuple(int(fields["kernel"][i]) for i in (0, 2, 4))
-            pool = (int(fields["pool"][0]), int(fields["pool"][2]))
-            if min(*conv[:2], *pool) < 1 or conv[2] < 0:
-                raise ValueError("a kernel, stride or pool field is not positive, "
-                                 "or the padding is negative")
-            if conv != (KERNEL, 1, 1):
-                raise ValueError(f"kernel {conv[0]} stride {conv[1]} pad {conv[2]}: only "
-                                 "3x3 convolution at stride 1 with padding 1 is supported")
-            if pool != (2, 2):
-                raise ValueError(f"pool {pool[0]} stride {pool[1]}: only 2x2 pooling at "
-                                 "stride 2 is supported")
-            if tuple(int(n) for n in fields["heads"]) != (N_BASE_CLASSES, N_EXP_CLASSES):
-                raise ValueError(f"heads {' '.join(fields['heads'])}: only {N_BASE_CLASSES} base "
-                                 f"and {N_EXP_CLASSES} exponent classes are supported")
         except (KeyError, IndexError, ValueError) as exc:
             raise ArchitectureMismatchError(f"unreadable architecture descriptor: {exc}") from exc
+        expected = arch.to_text()
+        if text != expected:
+            # a quoted line never equals the unquoted end marker
+            got, want = ([*map(repr, t.split("\n")), "end of text"] for t in (text, expected))
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise ArchitectureMismatchError(
+                f"architecture descriptor line {i + 1}: got {got[i]}, expected {want[i]}")
         return arch
 
 

@@ -11,7 +11,7 @@ taken per batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .datagen import Dataset
 from .errors import TrainingDivergedError
 # EVAL_CHUNK is re-exported: callers read it as train.EVAL_CHUNK
-from .evaluate import EVAL_CHUNK, evaluate  # noqa: F401
+from .evaluate import EVAL_CHUNK, csv_text, evaluate  # noqa: F401
 from .losses import softmax_ce_batch
 from .model import DEFAULT_ARCH, Architecture, MultiOutputModel, Workspace
 from .optim import AdamState, adam_step, check_adam_settings
@@ -141,7 +141,7 @@ def train(dataset: Dataset, config: TrainConfig,
 
     workspace = Workspace()   # scratch of the steps and validation, freed on return
     history: list[EpochRecord] = []
-    best_model = _clone_model(model)
+    best_model = None         # the first epoch's finite validation loss always beats inf
     best_val = np.inf
     best_epoch = start_epoch
     bad_epochs = 0
@@ -190,8 +190,5 @@ def train(dataset: Dataset, config: TrainConfig,
 
 
 def history_csv(history: list[EpochRecord]) -> str:
-    lines = ["epoch,train_total,train_base,train_exp,val_total,val_base_acc,val_exp_acc"]
-    for r in history:
-        lines.append(f"{r.epoch},{r.train_total!r},{r.train_base!r},{r.train_exp!r},"
-                     f"{r.val_total!r},{r.val_base_acc!r},{r.val_exp_acc!r}")
-    return "\n".join(lines) + "\n"
+    """One line per epoch; the columns are EpochRecord's fields in order."""
+    return csv_text([f.name for f in fields(EpochRecord)], map(astuple, history))

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 import expnet
+from expnet import cli as cli_module
 from expnet import model as model_module
 from expnet.checkpoint import read_checkpoint, write_checkpoint
 from expnet.cli import cli_main
 from expnet.dataio import read_dataset
+from expnet.datagen import GenConfig
+from expnet.evaluate import evaluate, histogram, robustness_sweep
 from expnet.losses import softmax
-from expnet.model import BASE_DIGITS, EXP_DIGITS, TINY_ARCH, MultiOutputModel
+from expnet.model import (BASE_DIGITS, DEFAULT_ARCH, EXP_DIGITS, TINY_ARCH, Architecture,
+                          MultiOutputModel)
 
 
 def test_generate_then_hist_conserves_counts(tmp_path, capsys):
@@ -121,6 +125,51 @@ def test_sweep_csv(tmp_path):
     assert lines[1].startswith("noise,0.0,")
 
 
+def test_cli_artifacts_keep_their_text(tmp_path):
+    # every CSV file eval, sweep and hist write, against the text of its
+    # layout for the same values computed in process; text, not a digest,
+    # because logits may differ in the last bit across BLAS thread counts
+    data, ckpt = str(tmp_path / "d.bin"), str(tmp_path / "m.ckpt")
+    files = {name: str(tmp_path / f"{name}.csv")
+             for name in ("report", "confusion", "sweep", "base", "noise")}
+    assert cli_main(["generate", "--count", "30", "--seed", "11", "--out", data]) == 0
+    write_checkpoint(MultiOutputModel.init(DEFAULT_ARCH, 11), ckpt)
+    assert cli_main(["eval", "--model", ckpt, "--data", data, "--report", files["report"],
+                     "--confusion", files["confusion"]]) == 0
+    assert cli_main(["sweep", "--model", ckpt, "--attr", "blur", "--levels", "0,1.5",
+                     "--count-per-level", "6", "--seed", "3", "--out", files["sweep"]]) == 0
+    assert cli_main(["hist", "--data", data, "--attr", "base", "--out", files["base"]]) == 0
+    assert cli_main(["hist", "--data", data, "--attr", "noise", "--bins", "4",
+                     "--out", files["noise"]]) == 0
+
+    net, _ = read_checkpoint(ckpt)
+    samples, _ = read_dataset(data)
+    rep = evaluate(net, samples)
+    metrics = [("base_accuracy", rep.base_accuracy), ("exp_accuracy", rep.exp_accuracy),
+               ("joint_accuracy", rep.joint_accuracy), ("mean_loss", rep.mean_loss),
+               ("count", rep.count)]
+    sweep = robustness_sweep(net, GenConfig(count=1, master_seed=3), "blur", [0.0, 1.5], 6)
+    base = histogram((BASE_DIGITS[0] + samples.base_labels).tolist())
+    noise = histogram(samples.meta[:, 1], bins=4)
+    assert len(noise) == 4 and all(isinstance(bucket, tuple) for bucket, _ in noise)
+    expected = {
+        "report": "metric,value\n" + "".join(f"{name},{value!r}\n" for name, value in metrics),
+        "confusion": "head,true_class,predicted_class,count\n" + "".join(
+            f"{head},{t},{p},{conf[t, p]}\n"
+            for head, conf in (("base", rep.base_confusion), ("exponent", rep.exp_confusion))
+            for t in range(conf.shape[0]) for p in range(conf.shape[1])),
+        "sweep": "attr,level,base_acc,exp_acc,joint_acc,mean_loss\n" + "".join(
+            f"blur,{level!r},{r.base_accuracy!r},{r.exp_accuracy!r},{r.joint_accuracy!r},"
+            f"{r.mean_loss!r}\n" for level, r in sweep),
+        "base": "bucket,count\n" + "".join(f"{bucket},{count}\n" for bucket, count in base),
+        "noise": "bucket,count\n" + "".join(f"[{lo!r};{hi!r}),{count}\n"
+                                              for (lo, hi), count in noise),
+    }
+    for name, path in files.items():
+        with open(path) as f:
+            assert f.read() == expected[name], name
+
+
 def test_gradcheck_exits_zero(capsys):
     assert cli_main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -197,10 +246,37 @@ def test_non_finite_ranges_rejected_before_any_work(tmp_path, capsys):
         assert not data.exists()
     model = str(tmp_path / "m.ckpt")
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 0), model)
-    for levels in ("nan", "0,inf"):
+    for levels, message in (("nan", "levels must be finite"), ("0,inf", "levels must be finite"),
+                            (",", "levels must not be empty")):
         assert cli_main(["sweep", "--model", model, "--attr", "blur", "--levels", levels,
                          "--out", str(tmp_path / "s.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: levels must be finite")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a count the flags accept but the machine cannot hold; nothing is allocated here
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 3.73 TiB for an array")
+
+    monkeypatch.setattr(cli_module, "generate_dataset", no_memory)
+    data = tmp_path / "d.bin"
+    assert cli_main(["generate", "--count", "1000000000", "--seed", "1",
+                     "--out", str(data)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 3.73 TiB for an array\n")
+    assert not data.exists()
+
+
+def test_train_and_eval_take_the_image_size_from_the_data(tmp_path, capsys):
+    data, model = str(tmp_path / "d.bin"), str(tmp_path / "m.ckpt")
+    assert cli_main(["generate", "--count", "20", "--seed", "3", "--out", data,
+                     "--image-size", "48", "--font-max", "2.5"]) == 0
+    assert cli_main(["train", "--data", data, "--out", model, "--epochs", "1",
+                     "--seed", "3"]) == 0
+    assert read_checkpoint(model)[0].arch == Architecture(input_hw=(48, 48))
+    assert cli_main(["eval", "--model", model, "--data", data]) == 0
+    assert "samples: 20" in capsys.readouterr().out
 
 
 def test_bad_image_size_rejected_before_any_work(tmp_path, capsys):

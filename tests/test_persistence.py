@@ -441,22 +441,33 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
 @pytest.mark.parametrize("corrupt, match", [
     (lambda d: d.replace(b"\nconv", b"\n \nconv"), "unreadable"),
     (lambda d: b"\xff\xfe" + d, "not UTF-8"),
-    (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"), "not positive"),
-    (lambda d: d.replace(b"pool 2", b"pool 0"), "not positive"),
-    (lambda d: d.replace(b"kernel 3", b"kernel 30"), "only 3x3 convolution"),
-    (lambda d: d.replace(b"pool 2 stride 2", b"pool 3 stride 3"), "only 2x2 pooling"),
-    (lambda d: d.replace(b"pool 2 stride 2", b"pool 2 stride 1"), "only 2x2 pooling"),
+    (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"),
+     "line 3: got 'kernel 3 stride 0 pad 1', expected 'kernel 3 stride 1 pad 1'$"),
+    (lambda d: d.replace(b"pool 2", b"pool 0"),
+     "line 4: got 'pool 0 stride 2', expected 'pool 2 stride 2'$"),
+    (lambda d: d.replace(b"kernel 3", b"kernel 30"),
+     "line 3: got 'kernel 30 stride 1 pad 1', expected 'kernel 3 stride 1 pad 1'$"),
+    (lambda d: d.replace(b"pool 2 stride 2", b"pool 3 stride 3"),
+     "line 4: got 'pool 3 stride 3', expected 'pool 2 stride 2'$"),
+    (lambda d: d.replace(b"pool 2 stride 2", b"pool 2 stride 1"),
+     "line 4: got 'pool 2 stride 1', expected 'pool 2 stride 2'$"),
     (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 5 stride 1 pad 2"),
-     "kernel 5 stride 1 pad 2: only 3x3 convolution at stride 1 with padding 1"),
+     "line 3: got 'kernel 5 stride 1 pad 2', expected 'kernel 3 stride 1 pad 1'$"),
     (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 2 pad 1"),
-     "only 3x3 convolution"),
+     "line 3: got 'kernel 3 stride 2 pad 1', expected 'kernel 3 stride 1 pad 1'$"),
     (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 1 pad 0"),
-     "only 3x3 convolution"),
+     "line 3: got 'kernel 3 stride 1 pad 0', expected 'kernel 3 stride 1 pad 1'$"),
     (lambda d: d.replace(b"input 16 16", b"input 16 1"), "empty map"),
     (lambda d: d.replace(b"heads 8 10", b"heads 7 10"),
-     "heads 7 10: only 8 base and 10 exponent classes"),
+     "line 6: got 'heads 7 10', expected 'heads 8 10'$"),
+    (lambda d: d + b"\ndropout 0.5", "line 7: got 'dropout 0.5', expected end of text$"),
+    (lambda d: b"\n".join(reversed(d.split(b"\n"))),
+     "line 1: got 'heads 8 10', expected 'input 16 16'$"),
+    (lambda d: d.replace(b"pad 1", b"pad 1 bias 0"),
+     "line 3: got 'kernel 3 stride 1 pad 1 bias 0', expected 'kernel 3 stride 1 pad 1'$"),
 ], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input", "pool-3-stride-3",
-        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map", "heads-7-10"])
+        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map", "heads-7-10",
+        "extra-line", "reversed-lines", "trailing-token"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))
@@ -467,6 +478,22 @@ def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path.write_bytes(blob[:8] + struct.pack("<I", len(descriptor)) + descriptor + blob[end:])
     with pytest.raises(ArchitectureMismatchError, match=match):
         read_checkpoint(str(path))
+
+
+def test_checkpoint_adam_flag_other_than_0_or_1_rejected(tmp_path):
+    model = MultiOutputModel.init(TINY_ARCH, 8)
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(model, str(path))
+    bare = path.read_bytes()
+    flag_at = len(bare) - 1              # the flag ends a file without Adam state
+    write_checkpoint(model, str(path), adam_state=AdamState.init(model.param_arrays()))
+    with_adam = path.read_bytes()
+    assert (bare[flag_at], with_adam[flag_at]) == (0, 1)
+    for blob in (bare, with_adam):
+        path.write_bytes(blob[:flag_at] + b"\2" + blob[flag_at + 1:])
+        with pytest.raises(FileFormatError,
+                           match=f"m.ckpt: Adam flag 2 at offset {flag_at}; expected 0 or 1$"):
+            read_checkpoint(str(path))
 
 
 @pytest.mark.parametrize("field, value", [

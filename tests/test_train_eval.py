@@ -42,6 +42,21 @@ def test_early_stop_halts_on_plateau(monkeypatch):
     assert result.best_epoch == 0
 
 
+def test_train_clones_only_improving_epochs(monkeypatch):
+    # each epoch that improves on the best validation loss clones the model
+    # once; nothing is cloned before the first epoch
+    ds = small_dataset(40, 6)
+    script = iter([(2.0, 0.5, 0.5), (1.0, 0.5, 0.5)])
+    monkeypatch.setattr(train_mod, "validation_metrics", lambda *a: next(script))
+    clones = []
+    clone = train_mod._clone_model
+    monkeypatch.setattr(train_mod, "_clone_model", lambda m: clones.append(m) or clone(m))
+    result = train(ds, TrainConfig(epochs=2, seed=6), arch=SMALL_ARCH, init_seed=6)
+    assert len(clones) == 2 and result.best_epoch == 1 and not result.stopped_early
+    for best, final in zip(result.model.param_arrays(), result.final_model.param_arrays()):
+        assert np.array_equal(best, final) and not np.shares_memory(best, final)
+
+
 def test_training_deterministic():
     ds = small_dataset(100, 7)
     cfg = TrainConfig(epochs=2, seed=11)
@@ -201,6 +216,8 @@ def test_sweep_rejects_bad_arguments(monkeypatch):
         robustness_sweep(model, cfg, "noise", [0.4, 0.0], 5)
     with pytest.raises(ValueError):
         robustness_sweep(model, cfg, "blur", [-0.1], 5)
+    with pytest.raises(ValueError, match="^levels must not be empty$"):
+        robustness_sweep(model, cfg, "noise", [], 5)
     # a blur kernel wider than the image is refused before any level is generated
     monkeypatch.setattr("expnet.evaluate.generate_dataset",
                         lambda config: pytest.fail("a level was generated"))
