@@ -3,9 +3,9 @@
 Every op takes a batch: channel-major [C, B, H, W] feature maps, [B, F] dense
 activations; a single sample is a batch of one (``x[:, None]`` for a feature
 map, ``x[None]`` for a dense vector).  A conv output about to be pooled may
-instead be window-major, [C, 4, B, H/2, W/2] (see _window_cells).
-Parameters live in small layer classes; the math functions are pure and
-dtype-preserving so the 64-bit gradient checker can reuse them.
+instead be window-major, [C, 4, B, H/2, W/2] (see _window_cells).  Parameters
+live in small layer classes; the math functions write only their results (the
+pool's include its routes) and keep dtype, for the 64-bit gradient checker.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ class DenseLayer:
         self.bias = bias
 
 
-# --- ReLU ---
+# --- Max pooling, with the trunk's ReLU ---
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+DEAD = 4    # route of a value the ReLU zeroes: it matches no cell, so its gradient is 0
 
-
-# --- Max pooling ---
 
 def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     """Views of the four cells of every 2x2 stride-2 window of a map, cell 2 * m + n first.
@@ -62,14 +59,15 @@ def _window_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[..., m:h2:2, n:w2:2] for m in range(2) for n in range(2)]
 
 
-def _pool_offsets_batch(x: np.ndarray, need_offsets: bool = True):
-    """(2x2 stride-2 max-pooled values, window-relative offsets uint8), row-major tie-break.
+def _pool_offsets_batch(x: np.ndarray, routes: np.ndarray | None = None) -> np.ndarray:
+    """relu(2x2 stride-2 max pool of x); fills ``routes``, if given, with each value's route.
 
     x is a channel-major [C, B, H, W] batch, whose odd trailing row or column
     belongs to no window and is dropped, or a window-major [C, 4, B, H/2, W/2]
-    one (see _window_cells); both give [C, B, H/2, W/2].  Offset 2 * m + n
-    names the cell at row m, column n of each window; need_offsets=False
-    returns None for them and skips their work.
+    one (see _window_cells); both give [C, B, H/2, W/2].  Max is monotone, so
+    the ReLU, in place on the pooled output, is exact.  routes (uint8, that
+    shape or a batch slice of it) gets each value's first-maximum cell 2 * m + n
+    (row m, column n) where the value is > 0, and DEAD elsewhere, NaN included.
     """
     if x.ndim != 5 and min(x.shape[-2:]) < 2:
         raise ShapeError(f"pool window 2 larger than input {x.shape[-2]}x{x.shape[-1]}")
@@ -78,22 +76,28 @@ def _pool_offsets_batch(x: np.ndarray, need_offsets: bool = True):
     m_ab = np.maximum(a, bb)
     m_cd = np.maximum(cc, d)
     out = np.maximum(m_ab, m_cd)
-    if not need_offsets:
-        return out, None
-    # off = 2 + (d > cc) where the bottom row's max beats the top row's, else
+    np.maximum(out, 0, out=out)
+    if routes is None:
+        return out
+    # cell = 2 + (d > cc) where the bottom row's max beats the top row's, else
     # (bb > a), as uint8 bit operations: with the and-mask 0 the xors give lo
     lo = (bb > a).view(np.uint8)
-    off = (d > cc).view(np.uint8)
-    off |= 2
-    off ^= lo
-    off &= np.negative((m_cd > m_ab).view(np.uint8))
-    off ^= lo
-    return out, off
+    cell = (d > cc).view(np.uint8)
+    cell |= 2
+    cell ^= lo
+    cell &= np.negative((m_cd > m_ab).view(np.uint8))
+    cell ^= lo
+    # 0xff where out > 0, else 0: then the and and the xor give the cell or DEAD
+    np.negative((out > 0).view(np.uint8), out=routes)
+    cell ^= DEAD
+    routes &= cell
+    routes ^= DEAD
+    return out
 
 
-def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
+def _pool_backward_offsets_batch(upstream: np.ndarray, routes: np.ndarray,
                                  x_shape: tuple) -> np.ndarray:
-    """Route each upstream value to its 2x2 window's recorded offset; zeros elsewhere.
+    """Route each upstream value to its 2x2 window's recorded cell; zeros elsewhere.
 
     x_shape is the pooled map's, channel-major [C, B, H, W] or window-major
     [C, 4, B, H/2, W/2], and the gradient comes in the same layout.  Windows
@@ -102,7 +106,7 @@ def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
     """
     grad = np.empty(x_shape, dtype=upstream.dtype)
     for cell, view in enumerate(_window_cells(grad)):
-        np.multiply(upstream, offsets == cell, out=view)
+        np.multiply(upstream, routes == cell, out=view)
     if grad.ndim == 4:
         h2, w2 = 2 * upstream.shape[-2], 2 * upstream.shape[-1]
         grad[..., h2:, :] = 0
@@ -110,7 +114,11 @@ def _pool_backward_offsets_batch(upstream: np.ndarray, offsets: np.ndarray,
     return grad
 
 
-# --- Dense ---
+# --- Dense, and the hidden layer's ReLU ---
+
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0)
+
 
 def dense_forward_batch(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:

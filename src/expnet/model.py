@@ -28,7 +28,6 @@ EXP_DIGITS = (0, 9)   # the exponent head's classes, likewise
 N_BASE_CLASSES = BASE_DIGITS[1] - BASE_DIGITS[0] + 1   # 8
 N_EXP_CLASSES = EXP_DIGITS[1] - EXP_DIGITS[0] + 1      # 10
 KERNEL = 3            # every conv is 3x3 at stride 1 with padding 1: it keeps H and W
-DEAD = 4              # route of a pooled value the ReLU zeroes: it matches no window cell
 
 # Samples per trunk slice, in every forward and in the input-gradient fold.
 # conv1's im2col matrix takes 1.18 MB per sample of the default architecture,
@@ -129,16 +128,24 @@ class Architecture:
         Only the ``input``, ``conv`` and ``dense`` sizes are read; the
         architecture they build, which checks them, must then write exactly
         ``text``.  Otherwise the error names the first line that differs and
-        the line expected there.
+        the line expected there, or the line it cannot read or does not find.
         """
+        lines = {line.split()[0]: (number, line)
+                 for number, line in enumerate(text.split("\n"), 1) if line.split()}
+        sizes = {}
+        for key, count in (("input", 2), ("conv", None), ("dense", 1)):
+            if key not in lines:
+                raise ArchitectureMismatchError(f"architecture descriptor has no {key!r} line")
+            number, line = lines[key]
+            values = line.split()[1:]
+            if count not in (None, len(values)) or not all(map(str.isdecimal, values)):
+                raise ArchitectureMismatchError(
+                    f"architecture descriptor line {number}: cannot read the sizes in {line!r}")
+            sizes[key] = tuple(map(int, values))
         try:
-            fields = {parts[0]: parts[1:] for parts in map(str.split, text.splitlines())}
-            arch = cls(
-                input_hw=(int(fields["input"][0]), int(fields["input"][1])),
-                conv_channels=tuple(int(c) for c in fields["conv"]),
-                dense_width=int(fields["dense"][0]),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
+            arch = cls(input_hw=sizes["input"], conv_channels=sizes["conv"],
+                       dense_width=sizes["dense"][0])
+        except ValueError as exc:
             raise ArchitectureMismatchError(f"unreadable architecture descriptor: {exc}") from exc
         expected = arch.to_text()
         if text != expected:
@@ -183,16 +190,16 @@ class Workspace:
 class ForwardTrace:
     """Caches recorded by a forward pass, consumed by backward.
 
-    The two lists hold one entry per conv stage, in forward order; routes are
-    channel-major [C, B, H, W], a pooled value's 2x2 window cell 0-3, or DEAD
-    where the ReLU zeroes it.  The batch is len(flat) and the hidden ReLU mask
-    hidden > 0.  A trace holds its im2col columns in its forward's workspace
-    and is valid until that workspace serves another one.
+    The two lists hold one entry per conv stage, in forward order; the pool
+    wrote the routes, channel-major [C, B, H, W] (see layers.DEAD).  The batch
+    is len(flat) and the hidden ReLU mask hidden > 0.  A trace holds its im2col
+    columns in its forward's workspace and is valid until that workspace serves
+    another one.
     """
 
     cols: list                 # whole-batch im2col columns, [C*3*3, B*H*W] per conv,
                                # conv0's window-major over (cell, sample, window)
-    routes: list               # uint8 window cell per pooled value, DEAD where not > 0
+    routes: list               # the pool's uint8 window cell per value, DEAD where not > 0
     flat: np.ndarray           # flattened features, the dense input
     hidden: np.ndarray         # hidden activations, the heads' input
     workspace: Workspace       # holds the columns
@@ -263,14 +270,13 @@ class MultiOutputModel:
         """[B, 1, H, W] -> (base logits [B, 8], exp logits [B, 10], trace).
 
         The trunk runs channel-major, [C, B, H, W], TRUNK_CHUNK samples at a
-        time, and applies each ReLU after its max pool: max is monotone, so
-        relu(maxpool(x)) == maxpool(relu(x)) exactly, at a quarter of the
-        elements.  Dense and heads see the whole batch.  Every per-stage
-        array is sized up front from arch.stage_shapes().  A traced pass
-        writes each slice's im2col columns and routes into whole-batch arrays;
-        need_trace=False (inference / evaluation) skips the routes and reuses
-        one slice of columns.  The columns live in ``workspace``, or in a
-        private one when none is given.
+        time; each stage is a conv and then the max pool, which applies the
+        ReLU (see _pool_offsets_batch).  Dense and heads see the whole batch.
+        Every per-stage array is sized up front from arch.stage_shapes().  A
+        traced pass has the pool write each slice's routes, and writes its
+        im2col columns, into whole-batch arrays; need_trace=False (inference /
+        evaluation) skips the routes and reuses one slice of columns.  The
+        columns live in ``workspace``, or in a private one when none is given.
         """
         h, w = self.arch.input_hw
         if x.ndim != 4 or x.shape[0] == 0 or x.shape[1:] != (1, h, w):
@@ -283,14 +289,11 @@ class MultiOutputModel:
         shapes = self.arch.stage_shapes()
         dtype = np.result_type(x.dtype, *(conv.weights.dtype for conv in self.convs))
         span = batch if need_trace else min(batch, TRUNK_CHUNK)
-        cols, routes = [], []
-        for i, (c, h, w) in enumerate(shapes[:-1]):     # a same conv keeps H and W
-            cols.append(workspace.array(f"conv{i}.cols",
-                                        (c, KERNEL, KERNEL, *_conv_layout(i, span, h, w)),
-                                        x.dtype if i == 0 else dtype))
-            if need_trace:
-                k, h2, w2 = shapes[i + 1]
-                routes.append(np.empty((k, batch, h2, w2), dtype=np.uint8))
+        cols = [workspace.array(f"conv{i}.cols", (c, KERNEL, KERNEL, *_conv_layout(i, span, h, w)),
+                                x.dtype if i == 0 else dtype)
+                for i, (c, h, w) in enumerate(shapes[:-1])]     # a same conv keeps H and W
+        routes = [np.empty((k, batch, h2, w2), dtype=np.uint8)
+                  for k, h2, w2 in shapes[1:]] if need_trace else []
         flat = np.empty((batch, self.arch.feature_size()), dtype=dtype)
 
         x = x.transpose(1, 0, 2, 3)
@@ -304,22 +307,11 @@ class MultiOutputModel:
                                                  cols=cols[i][..., at:at + rows, :, :])
                 except ShapeError as exc:
                     raise ShapeError(f"conv{i}: {exc}") from exc
-                part, offsets = _pool_offsets_batch(part, need_offsets=need_trace)
-                part = relu_forward(part)
-                if need_trace:
-                    # 0xff where part > 0, else 0: then the and and the xor give offsets or DEAD
-                    route = routes[i][:, lo:lo + rows]
-                    np.negative((part > 0).view(np.uint8), out=route)
-                    offsets ^= DEAD
-                    route &= offsets
-                    route ^= DEAD
+                part = _pool_offsets_batch(part, routes[i][:, lo:lo + rows] if routes else None)
             flat[lo:lo + rows] = part.transpose(1, 0, 2, 3).reshape(rows, -1)
-        pre = dense_forward_batch(self.dense, flat)
-        hidden = relu_forward(pre)
-        trace = None
-        if need_trace:
-            trace = ForwardTrace([c.reshape(len(c) * KERNEL * KERNEL, -1) for c in cols], routes,
-                                 flat, hidden, workspace, workspace.forwards)
+        hidden = relu_forward(dense_forward_batch(self.dense, flat))
+        trace = ForwardTrace([c.reshape(len(c) * KERNEL * KERNEL, -1) for c in cols], routes,
+                             flat, hidden, workspace, workspace.forwards) if need_trace else None
         base_logits = dense_forward_batch(self.base_head, hidden)
         exp_logits = dense_forward_batch(self.exp_head, hidden)
         return base_logits, exp_logits, trace
@@ -354,7 +346,6 @@ class MultiOutputModel:
         for i, conv in reversed(list(enumerate(self.convs))):
             c, h, w = shapes[i]
             k = conv.weights.shape[0]
-            # a DEAD route matches no cell, so it passes upstream * 0: the ReLU's zero
             upstream = _pool_backward_offsets_batch(upstream, trace.routes[i],
                                                     (k, *_conv_layout(i, batch, h, w)))
             gxpad = u2p = None

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from expnet.errors import ShapeError
-from expnet.layers import (ConvLayer, DenseLayer, _pool_backward_offsets_batch,
+from expnet.layers import (DEAD, ConvLayer, DenseLayer, _pool_backward_offsets_batch,
                            _pool_offsets_batch, conv_backward_batch, conv_forward_batch,
                            dense_backward_batch, dense_forward_batch, relu_forward)
-from expnet.model import DEAD, TINY_ARCH, MultiOutputModel
+from expnet.model import TINY_ARCH, MultiOutputModel
 from expnet.rng import Rng
 
 
@@ -53,7 +53,7 @@ def test_relu_backward_mask():
 
 
 def test_relu_backward_matches_finite_difference():
-    # the mask backward_batch applies is the derivative of relu_forward off the kink
+    # the hidden mask backward_batch applies is the derivative of relu_forward off the kink
     x = Rng(3).uniforms(20, -1, 1)
     x = x[np.abs(x) > 1e-3]
     num = central_diff(lambda v: float(relu_forward(v).sum()), x)
@@ -61,40 +61,53 @@ def test_relu_backward_matches_finite_difference():
     assert np.allclose(num, x > 0, rtol=1e-4)
 
 
+def pool(x):
+    """The model's pool call: relu-pooled values and the routes the pool writes.
+
+    The routes start as a value no route takes, so each one is seen written.
+    """
+    c, b, h2, w2 = ((x.shape[0], *x.shape[2:]) if x.ndim == 5
+                    else (*x.shape[:2], x.shape[2] // 2, x.shape[3] // 2))
+    routes = np.full((c, b, h2, w2), 0xAB, dtype=np.uint8)
+    return _pool_offsets_batch(x, routes), routes
+
+
 def test_maxpool_single_window():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32)
-    out, off = _pool_offsets_batch(x)
+    out, routes = pool(x)
     assert out.shape == (1, 1, 1, 1) and out[0, 0, 0, 0] == 4.0
-    assert off.dtype == np.uint8 and off[0, 0, 0, 0] == 3    # cell (1, 1) of the window
+    assert routes[0, 0, 0, 0] == 3    # cell (1, 1) of the window
+    out, routes = pool(-x)
+    assert out[0, 0, 0, 0] == 0 and routes[0, 0, 0, 0] == DEAD    # the ReLU zeroes -1
 
 
 def test_maxpool_tie_break_first_cell():
     # an even map and an odd one, whose trailing row and column no window covers
     for shape in ((1, 2, 6, 6), (1, 2, 5, 7)):
         x = np.full(shape, 2.5, dtype=np.float32)
-        out, off = _pool_offsets_batch(x)
+        out, routes = pool(x)
         ref_out, ref_off = pool_reference(x)
         assert np.array_equal(out, ref_out) and np.all(out == 2.5)
-        assert off.tobytes() == ref_off.tobytes()
-        assert not off.any()          # every window picks its top-left cell
+        assert routes.tobytes() == ref_off.tobytes()
+        assert not routes.any()       # every window picks its top-left cell
 
 
 def test_maxpool_ramp():
     x = (np.arange(16, dtype=np.float32) + 1).reshape(1, 1, 4, 4)
-    out, off = _pool_offsets_batch(x)
+    out, routes = pool(x)
     assert np.array_equal(out[0, 0], np.array([[6, 8], [14, 16]], dtype=np.float32))
-    assert np.all(off == 3)
+    assert np.all(routes == 3)
     x = (np.arange(35, dtype=np.float32) + 1).reshape(1, 1, 5, 7)
-    out, off = _pool_offsets_batch(x)         # floor pooling: rows 0-3, columns 0-5
+    out, routes = pool(x)                     # floor pooling: rows 0-3, columns 0-5
     assert np.array_equal(out[0, 0], np.array([[9, 11, 13], [23, 25, 27]], dtype=np.float32))
-    assert np.all(off == 3)
+    assert np.all(routes == 3)
     assert np.array_equal(out, pool_reference(x)[0])
 
 
 def test_maxpool_window_too_large():
     for shape in ((1, 1, 1, 1), (1, 1, 1, 4), (1, 1, 4, 1)):
         with pytest.raises(ShapeError):
-            _pool_offsets_batch(np.zeros(shape, dtype=np.float32))
+            pool(np.zeros(shape, dtype=np.float32))
 
 
 def test_maxpool_backward_routing():
@@ -104,20 +117,24 @@ def test_maxpool_backward_routing():
     assert np.array_equal(grad, np.array([[[[0, 0], [0, 1]]]], dtype=np.float32))
     zero = _pool_backward_offsets_batch(np.zeros_like(up), off, (1, 1, 2, 2))
     assert not zero.any()
+    dead = _pool_backward_offsets_batch(up, np.full_like(off, DEAD), (1, 1, 2, 2))
+    assert not dead.any()              # a DEAD route matches no cell
 
 
 def pool_fd_case(seed, shape):
-    """(numeric, analytic) input gradients of sum(maxpool(x) * up)."""
+    """(numeric, analytic) input gradients of sum(relu(maxpool(x)) * up)."""
     rng = Rng(seed)
     x = rng.uniforms(int(np.prod(shape)), -1, 1).reshape(1, *shape)
-    out, off = _pool_offsets_batch(x)
+    x[0, 0, :2, :2] -= 2                        # one window the ReLU zeroes
+    out, routes = pool(x)
+    assert (routes == DEAD).any() and (routes != DEAD).any()
     up = rng.uniforms(out.size, -1, 1).reshape(out.shape)
 
     def f(v):
-        return float((_pool_offsets_batch(v)[0] * up).sum())
+        return float((_pool_offsets_batch(v) * up).sum())
 
     num = central_diff(f, x)
-    ana = _pool_backward_offsets_batch(up, off, x.shape)
+    ana = _pool_backward_offsets_batch(up, routes, x.shape)
     return num, ana
 
 
@@ -282,7 +299,7 @@ def test_conv_backward_refuses_input_grad_off_the_model_shape():
     assert gw.shape == layer.weights.shape and gx is None
 
 
-# --- ReLU after max pooling ---
+# --- The pool's ReLU and routes against loop oracles ---
 
 def pool_reference(x):
     """Loop oracle of 2x2 stride-2 max pooling: values and first-maximum offsets."""
@@ -314,20 +331,24 @@ def test_pool_2x2_fast_path_matches_loop_reference():
     rand = Rng(25).uniforms(2 * 3 * 8 * 6, -1, 1).reshape(2, 3, 8, 6).astype(np.float32)
     odd = Rng(26).uniforms(2 * 3 * 7 * 5, -1, 1).reshape(2, 3, 7, 5).astype(np.float32)
     for x in (rand, odd, ties):
-        out, off = _pool_offsets_batch(x)
-        ref_out, ref_off = pool_reference(x)
+        out, routes = pool(x)
+        ref_out, ref_off = relu_then_pool_reference(x)
         # by number: np.maximum and argmax may keep different zeros of a -0/+0 tie
         assert np.array_equal(out, ref_out)
         if x is not odd:
             assert out.tobytes() == ref_out.tobytes()
-        assert off.dtype == np.uint8 and off.tobytes() == ref_off.tobytes()
-        out_wm, off_wm = _pool_offsets_batch(window_major(x))
-        assert out_wm.tobytes() == out.tobytes() and off_wm.tobytes() == off.tobytes()
-    assert np.array_equal(np.bincount(off.ravel()), [36, 22, 14, 9])   # ties pick the first
+        # max commutes with the ReLU, and a live window's first maximum is the
+        # same cell in x and in relu(x): the oracle's cell where out > 0
+        assert np.array_equal(out, pool_reference(x)[0].clip(0))
+        assert routes.tobytes() == np.where(out > 0, ref_off, DEAD).tobytes()
+        out_wm, routes_wm = pool(window_major(x))
+        assert out_wm.tobytes() == out.tobytes() and routes_wm.tobytes() == routes.tobytes()
+    # ties pick the first cell; the 16 windows over {-1, 0} alone are DEAD
+    assert np.array_equal(np.bincount(routes.ravel()), [27, 18, 12, 8, 16])
 
 
 def relu_then_pool_reference(x):
-    """Loop oracle of the old stage order: pooled relu(x) and first-argmax offsets."""
+    """Loop oracle of the textbook stage order: pooled relu(x) and first-argmax offsets."""
     return pool_reference(np.maximum(x, 0))
 
 
@@ -355,23 +376,23 @@ def pool_then_relu_case(seed, shape):
 def test_relu_after_pool_matches_relu_then_pool():
     for shape in ((2, 3, 6, 6), (2, 3, 5, 7)):
         x = pool_then_relu_case(20, shape)
-        pooled, off = _pool_offsets_batch(x)
-        out = relu_forward(pooled)
+        out, routes = pool(x)
         ref_out, ref_off = relu_then_pool_reference(x)
         assert out.tobytes() == ref_out.tobytes()
         live = out > 0
-        assert np.array_equal(off[live], ref_off[live])
+        assert np.array_equal(routes[live], ref_off[live])
+        assert (routes[~live] == DEAD).all()
+        assert (routes[0, 0, 0, 0], routes[0, 1, 0, 0], routes[1, 2, 1, 1]) == (DEAD, 0, DEAD)
         assert not live.all() and live.any()
-        fast, none = _pool_offsets_batch(x, need_offsets=False)
-        assert none is None and fast.tobytes() == pooled.tobytes()
+        assert _pool_offsets_batch(x).tobytes() == out.tobytes()    # no routes asked
 
 
 def test_relu_after_pool_backward_matches_relu_then_pool():
     for shape in ((2, 3, 6, 6), (2, 3, 5, 7)):
         x = pool_then_relu_case(21, shape)
-        pooled, off = _pool_offsets_batch(x)
+        pooled, routes = pool(x)
         up = Rng(22).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
-        grad = _pool_backward_offsets_batch(up * (relu_forward(pooled) > 0), off, x.shape)
+        grad = _pool_backward_offsets_batch(up, routes, x.shape)
         ref = relu_then_pool_backward_reference(x, up)
         assert np.array_equal(grad, ref)
         assert not grad[0, 0, :2, :2].any()     # dead window passes nothing
@@ -386,13 +407,13 @@ def test_tiled_pool_backward_equals_general_path():
     for shape in ((3, 2, 8, 6), (2, 2, 9, 7)):
         x = Rng(23).uniforms(int(np.prod(shape)), 0.1, 1).reshape(shape).astype(np.float32)
         x[0, 0, :2, :2] = 0.5                   # tie window
-        pooled, off = _pool_offsets_batch(x)
+        pooled, routes = pool(x)
         up = Rng(24).uniforms(pooled.size, -1, 1).reshape(pooled.shape).astype(np.float32)
-        grad = _pool_backward_offsets_batch(up, off, x.shape)
+        grad = _pool_backward_offsets_batch(up, routes, x.shape)
         ref = relu_then_pool_backward_reference(x, up)
         assert np.array_equal(grad, ref)
         nonzero = grad != 0
         assert grad[nonzero].tobytes() == ref[nonzero].tobytes()
         assert np.count_nonzero(nonzero) == np.count_nonzero(up)
-        grad_wm = _pool_backward_offsets_batch(up, off, window_major(x).shape)
+        grad_wm = _pool_backward_offsets_batch(up, routes, window_major(x).shape)
         assert grad_wm.tobytes() == window_major(grad).tobytes()

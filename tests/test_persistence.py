@@ -439,7 +439,10 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (lambda d: d.replace(b"\nconv", b"\n \nconv"), "unreadable"),
+    (lambda d: d.replace(b"\nconv", b"\n \nconv"), "line 2: got ' ', expected 'conv 4 8'$"),
+    (lambda d: d.replace(b"\ndense 16", b""), "descriptor has no 'dense' line$"),
+    (lambda d: d.replace(b"input 16 16", b"input 16"),
+     "line 1: cannot read the sizes in 'input 16'$"),
     (lambda d: b"\xff\xfe" + d, "not UTF-8"),
     (lambda d: d.replace(b"kernel 3 stride 1", b"kernel 3 stride 0"),
      "line 3: got 'kernel 3 stride 0 pad 1', expected 'kernel 3 stride 1 pad 1'$"),
@@ -465,9 +468,9 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
      "line 1: got 'heads 8 10', expected 'input 16 16'$"),
     (lambda d: d.replace(b"pad 1", b"pad 1 bias 0"),
      "line 3: got 'kernel 3 stride 1 pad 1 bias 0', expected 'kernel 3 stride 1 pad 1'$"),
-], ids=["blank-line", "not-utf8", "stride-0", "pool-0", "kernel-over-input", "pool-3-stride-3",
-        "pool-2-stride-1", "kernel-5-pad-2", "stride-2", "pad-0", "empty-map", "heads-7-10",
-        "extra-line", "reversed-lines", "trailing-token"])
+], ids=["blank-line", "no-dense-line", "one-input-size", "not-utf8", "stride-0", "pool-0",
+        "kernel-over-input", "pool-3-stride-3", "pool-2-stride-1", "kernel-5-pad-2", "stride-2",
+        "pad-0", "empty-map", "heads-7-10", "extra-line", "reversed-lines", "trailing-token"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))
