@@ -64,8 +64,8 @@ class Architecture:
     1, which keeps H and W, followed by 2x2 max pooling at stride 2, which
     floors an odd map; the heads score N_BASE_CLASSES and N_EXP_CLASSES.  None
     of these has fields: the descriptor's ``kernel 3 stride 1 pad 1``,
-    ``pool 2 stride 2`` and ``heads 8 10`` lines record them.  A size below 1,
-    or a stage that leaves an empty map, raises ValueError.
+    ``pool 2 stride 2`` and ``heads 8 10`` lines record them.  No conv stage,
+    a size below 1, or a stage that leaves an empty map, raises ValueError.
     """
 
     input_hw: tuple[int, int] = (64, 64)
@@ -73,6 +73,8 @@ class Architecture:
     dense_width: int = 128
 
     def __post_init__(self):
+        if not self.conv_channels:
+            raise ValueError("conv_channels is empty; the model needs at least one conv stage")
         if min(*self.input_hw, *self.conv_channels, self.dense_width) < 1:
             raise ValueError(f"a size field is not positive: input_hw {self.input_hw}, "
                              f"conv_channels {self.conv_channels}, dense_width {self.dense_width}")

@@ -28,6 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ShapeError
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -69,7 +71,7 @@ def _box_muller(raw: np.ndarray, out: np.ndarray) -> None:
 
 
 def draw(streams: Sequence["Rng"], n: int, transform: Callable | None = None,
-         dtype=np.uint64) -> np.ndarray:
+         dtype=np.uint64, out: np.ndarray | None = None) -> np.ndarray:
     """The next n outputs of each stream, as a [len(streams), n] array; advances each by n.
 
     The next output of a stream that has made c draws is
@@ -79,8 +81,15 @@ def draw(streams: Sequence["Rng"], n: int, transform: Callable | None = None,
     matching block of the result, so no whole-size temporary is made. A block
     spans whole rows when a row fits in it; otherwise its width is BLOCK, so a
     transform that pairs columns sees even widths for even n.
+
+    A given ``out`` is filled and returned; it must have that shape and dtype,
+    so the caller chooses the thread that allocates it.
     """
-    out = np.empty((len(streams), n), dtype)
+    if out is None:
+        out = np.empty((len(streams), n), dtype)
+    elif out.shape != (len(streams), n) or out.dtype != dtype:
+        raise ShapeError(f"draw fills a [{len(streams)}, {n}] {np.dtype(dtype)} array, "
+                         f"got {out.shape} {out.dtype}")
     starts = np.array([s._count for s in streams], np.uint64)
     starts *= _GAMMA
     starts += np.array([s._key for s in streams], np.uint64)
@@ -101,12 +110,14 @@ def draw(streams: Sequence["Rng"], n: int, transform: Callable | None = None,
     return out
 
 
-def normals(streams: Sequence["Rng"], n: int) -> np.ndarray:
+def normals(streams: Sequence["Rng"], n: int, out: np.ndarray | None = None) -> np.ndarray:
     """n standard normal float64 draws from each stream, as [len(streams), n].
 
-    Box-Muller on consecutive pairs; an odd n takes n + 1 draws from each stream.
+    Box-Muller on consecutive pairs; an odd n takes n + 1 draws from each
+    stream, so a given ``out`` is [len(streams), n + n % 2] and the result
+    views its first n columns.
     """
-    return draw(streams, n + n % 2, _box_muller, np.float64)[:, :n]
+    return draw(streams, n + n % 2, _box_muller, np.float64, out)[:, :n]
 
 
 class Rng:
@@ -133,18 +144,9 @@ class Rng:
         """Fresh stream keyed by (this stream's key, index); order-independent."""
         return self.substreams(index, index + 1)[0]
 
-    def next_u64(self) -> int:
-        return int(self.u64(1)[0])
-
     def u64(self, n: int) -> np.ndarray:
         """Next n raw outputs as a uint64 array."""
         return draw([self], n)[0]
-
-    def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Modulo bias is < bound/2**64."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
-        return self.next_u64() % bound
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         def transform(raw, out):

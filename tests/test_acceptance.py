@@ -99,14 +99,9 @@ def test_criterion_2_conv_oracle_equivalence():
     worst = 0.0
     for case in range(200):
         rng = Rng(9000 + case)
-        c = 1 + rng.randint(3)
-        h = 3 + rng.randint(8)
-        w_dim = 3 + rng.randint(8)
-        k = 1 + rng.randint(4)
-        m = 1 + rng.randint(3)
-        n = 1 + rng.randint(3)
-        stride = 1 + rng.randint(2)
-        pad = rng.randint(2)
+        draws = rng.u64(8) % np.array([3, 8, 8, 4, 3, 3, 2, 2], np.uint64)
+        c, h, w_dim, k, m, n, stride, pad = (draws + np.array([1, 3, 3, 1, 1, 1, 1, 0],
+                                                              np.uint64)).tolist()
         x = rng.uniforms(c * h * w_dim, -1, 1).reshape(c, h, w_dim).astype(np.float32)
         wt = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
         b = rng.uniforms(k, -1, 1).astype(np.float32)

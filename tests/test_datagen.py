@@ -1,16 +1,20 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from expnet import datagen
 from expnet.dataio import write_dataset
 from expnet.datagen import (CHUNK, Dataset, GenConfig, add_gaussian_noise, gaussian_blur,
                             generate_dataset, generate_sample, render_expression)
 from expnet.errors import LayoutError, ShapeError
 from expnet.glyphs import GLYPH_H, GLYPH_W, GLYPHS
-from expnet.rng import Rng
+from expnet.rng import Rng, normals
 
 
 def glyph_pixel_count(digit: int, scale: float) -> int:
@@ -61,7 +65,7 @@ def test_render_layout_error_when_too_large():
 
 def test_noise_identity_at_zero_sigma():
     img = render_expression(3, 4, 2.0)[None]
-    out = add_gaussian_noise(img, [0.0], [Rng(1)])
+    out = add_gaussian_noise(img, [0.0], np.empty((0, img[0].size)))
     assert np.array_equal(out, img)
     assert out is not img
 
@@ -69,19 +73,21 @@ def test_noise_identity_at_zero_sigma():
 def test_noise_of_each_sample_comes_from_its_own_stream():
     imgs = np.stack([render_expression(3, 4, 2.0), render_expression(5, 6, 2.5),
                      render_expression(7, 8, 3.0)])
-    streams = [Rng(1), Rng(2), Rng(3)]
-    out = add_gaussian_noise(imgs, [0.2, 0.0, 0.1], streams)
+    out = add_gaussian_noise(imgs, [0.2, 0.0, 0.1], normals([Rng(1), Rng(3)], 4096))
     for j, sigma in ((0, 0.2), (2, 0.1)):
         assert np.array_equal(out[j:j + 1], add_gaussian_noise(imgs[j:j + 1], [sigma],
-                                                                [Rng(j + 1)]))
+                                                                Rng(j + 1).normals(4096)[None]))
     assert np.array_equal(out[1], imgs[1])
-    assert [s.next_u64() for s in streams] == [Rng(1).u64(4097)[-1], Rng(2).next_u64(),
-                                               Rng(3).u64(4097)[-1]]
+    # one row per sample with sigma > 0, of C*H*W values each
+    for field in (normals([Rng(1)], 4096), normals([Rng(1), Rng(2), Rng(3)], 4096),
+                  normals([Rng(1), Rng(3)], 4095)):
+        with pytest.raises(ShapeError, match=r"^noise field must be \[2, 4096\], one row per "):
+            add_gaussian_noise(imgs, [0.2, 0.0, 0.1], field)
 
 
 def test_noise_statistics():
     img = np.full((1, 1, 64, 64), 0.5, dtype=np.float32)
-    out = add_gaussian_noise(img, [0.1], [Rng(2)])
+    out = add_gaussian_noise(img, [0.1], Rng(2).normals(4096)[None])
     assert out.shape == img.shape
     std = float(out.std())
     assert 0.08 < std < 0.12       # 3-sigma band for n=4096
@@ -91,15 +97,15 @@ def test_noise_statistics():
 def test_noise_clamped_to_unit_interval():
     img = render_expression(5, 5, 2.5)[None]
     for sigma in (0.1, 0.5, 2.0):
-        out = add_gaussian_noise(img, [sigma], [Rng(3)])
+        out = add_gaussian_noise(img, [sigma], Rng(3).normals(4096)[None])
         assert out.min() >= 0.0 and out.max() <= 1.0
     with pytest.raises(ValueError):
-        add_gaussian_noise(img, [-0.1], [Rng(4)])
+        add_gaussian_noise(img, [-0.1], Rng(4).normals(4096)[None])
 
 
 @pytest.mark.parametrize("apply, kind", [
     (lambda imgs, sigmas: gaussian_blur(imgs, sigmas), "blur"),
-    (lambda imgs, sigmas: add_gaussian_noise(imgs, sigmas, [Rng(1), Rng(2), Rng(3)]), "noise"),
+    (lambda imgs, sigmas: add_gaussian_noise(imgs, sigmas, np.zeros((2, 64))), "noise"),
 ])
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5])
 def test_non_finite_or_negative_sigma_rejected_naming_the_sample(apply, kind, bad):
@@ -182,9 +188,16 @@ def test_generate_dataset_deterministic():
 
 
 def test_sample_substream_isolation():
-    cfg = GenConfig(count=CHUNK + 12, master_seed=77)
-    ds = generate_dataset(cfg)
-    for i in (0, 5, CHUNK - 1, CHUNK, CHUNK + 11):
+    # a worker thread draws each chunk's noise field; a thread switch every
+    # microsecond interleaves it with the rendering as finely as it can be
+    cfg = GenConfig(count=3 * CHUNK + 5, master_seed=77)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ds = generate_dataset(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(cfg.count):
         alone = generate_sample(cfg, i)
         assert np.array_equal(alone.image, ds[i].image)
         assert alone.meta == ds[i].meta
@@ -262,22 +275,51 @@ def test_layout_error_carries_sample_index():
 
 def test_layout_error_names_the_first_failing_sample_of_a_later_chunk():
     # only scales above about 3.81 push the exponent off a 64px canvas
-    cfg = GenConfig(count=2 * CHUNK, master_seed=0, font_scale_range=(2.0, 3.9))
-
-    def fits(i):
-        stream = Rng(cfg.master_seed).substream(i)
-        base, exp = stream.randint(8), stream.randint(10)
-        scale = float(np.float32(stream.uniforms(1, *cfg.font_scale_range)[0]))
+    def fits(seed, i):
+        stream = Rng(seed).substream(i)
+        base, exp = (stream.u64(2) % np.array([8, 10], np.uint64)).tolist()
+        scale = float(np.float32(stream.uniforms(1, 2.0, 3.9)[0]))
         try:
             render_expression(2 + base, exp, scale)
         except LayoutError:
             return False
         return True
 
-    first = next(i for i in range(cfg.count) if not fits(i))
-    assert first >= CHUNK
+    # a seed whose first sample that does not fit lies past the first chunk
+    for seed in range(100):
+        first = next((i for i in range(2 * CHUNK) if not fits(seed, i)), None)
+        if first is not None and first >= CHUNK:
+            break
+    else:
+        pytest.fail("no seed below 100 first fails to fit past the first chunk")
+    cfg = GenConfig(count=2 * CHUNK, master_seed=seed, font_scale_range=(2.0, 3.9))
     with pytest.raises(LayoutError, match=f"^sample {first}: "):
         generate_dataset(cfg)
+
+
+def test_layout_error_while_the_worker_draws_leaves_no_thread(monkeypatch):
+    drawing, drawn = threading.Event(), threading.Event()
+
+    def slow_normals(*args):
+        drawing.set()
+        time.sleep(0.2)      # still drawing when the first sample fails to fit
+        field = normals(*args)
+        drawn.set()
+        return field
+
+    def render_once_drawing(*args):
+        assert drawing.wait(10)
+        assert not drawn.is_set()
+        return render_expression(*args)
+
+    monkeypatch.setattr(datagen, "normals", slow_normals)
+    monkeypatch.setattr(datagen, "render_expression", render_once_drawing)
+    cfg = GenConfig(count=3, master_seed=1, font_scale_range=(9.0, 9.0))
+    threads = threading.active_count()
+    with pytest.raises(LayoutError, match="^sample 0: "):
+        generate_dataset(cfg)
+    assert drawn.is_set()    # the call returned only after the worker finished
+    assert threading.active_count() == threads
 
 
 def test_generation_scratch_is_bounded():

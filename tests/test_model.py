@@ -335,6 +335,7 @@ def test_architecture_descriptor_bytes_are_pinned():
     (dict(dense_width=0), "a size field is not positive"),
     (dict(input_hw=(-2, 64)), "a size field is not positive"),
     (dict(conv_channels=(32, 0)), "a size field is not positive"),
+    (dict(conv_channels=()), "needs at least one conv stage"),
 ])
 def test_architecture_rejects_unbuildable_shapes(kwargs, match):
     # these reached MultiOutputModel.init and raised ZeroDivisionError there

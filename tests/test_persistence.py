@@ -461,6 +461,7 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
     (lambda d: d.replace(b"kernel 3 stride 1 pad 1", b"kernel 3 stride 1 pad 0"),
      "line 3: got 'kernel 3 stride 1 pad 0', expected 'kernel 3 stride 1 pad 1'$"),
     (lambda d: d.replace(b"input 16 16", b"input 16 1"), "empty map"),
+    (lambda d: d.replace(b"conv 4 8", b"conv "), "needs at least one conv stage"),
     (lambda d: d.replace(b"heads 8 10", b"heads 7 10"),
      "line 6: got 'heads 7 10', expected 'heads 8 10'$"),
     (lambda d: d + b"\ndropout 0.5", "line 7: got 'dropout 0.5', expected end of text$"),
@@ -470,7 +471,8 @@ def test_checkpoint_read_builds_model_without_init(tmp_path, monkeypatch):
      "line 3: got 'kernel 3 stride 1 pad 1 bias 0', expected 'kernel 3 stride 1 pad 1'$"),
 ], ids=["blank-line", "no-dense-line", "one-input-size", "not-utf8", "stride-0", "pool-0",
         "kernel-over-input", "pool-3-stride-3", "pool-2-stride-1", "kernel-5-pad-2", "stride-2",
-        "pad-0", "empty-map", "heads-7-10", "extra-line", "reversed-lines", "trailing-token"])
+        "pad-0", "empty-map", "no-conv-stage", "heads-7-10", "extra-line", "reversed-lines",
+        "trailing-token"])
 def test_checkpoint_malformed_descriptor_rejected(tmp_path, corrupt, match):
     path = tmp_path / "m.ckpt"
     write_checkpoint(MultiOutputModel.init(TINY_ARCH, 8), str(path))

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expnet.rng import BLOCK, Rng
+from expnet.errors import ShapeError
+from expnet.rng import BLOCK, Rng, normals
 
 
 def test_same_seed_same_sequence():
@@ -15,7 +16,7 @@ def test_same_seed_same_sequence():
 
 def test_scalar_and_bulk_paths_agree():
     r1, r2 = Rng(7), Rng(7)
-    vals = np.array([r1.next_u64() for _ in range(64)], dtype=np.uint64)
+    vals = np.concatenate([r1.u64(1) for _ in range(64)])
     assert np.array_equal(vals, r2.u64(64))
 
 
@@ -55,10 +56,20 @@ def test_normals_odd_count():
     assert Rng(4).normals(7).shape == (7,)
 
 
-def test_randint_bounds_and_coverage():
-    r = Rng(5)
-    draws = [r.randint(8) for _ in range(4000)]
-    assert min(draws) == 0 and max(draws) == 7
+def test_normals_fill_a_given_array():
+    # an odd n fills n + 1 columns and returns a view of the first n
+    out = np.empty((2, 8))
+    field = normals([Rng(1), Rng(2)], 7, out)
+    assert field.base is out and np.array_equal(field, normals([Rng(1), Rng(2)], 7))
+    for bad in (np.empty((2, 7)), np.empty((3, 8)), np.empty((2, 8), np.float32)):
+        with pytest.raises(ShapeError, match=r"^draw fills a \[2, 8\] float64 array, got "):
+            normals([Rng(1), Rng(2)], 7, bad)
+
+
+def test_u64_modulo_bounds_and_coverage():
+    # labels are drawn as u64 % classes; the modulo bias is < classes / 2**64
+    draws = (Rng(5).u64(4000) % np.uint64(8)).astype(np.int64)
+    assert draws.min() == 0 and draws.max() == 7
     counts = np.bincount(draws, minlength=8)
     assert counts.min() > 350    # roughly uniform, expected 500 each
 
@@ -71,16 +82,16 @@ def test_permutation_is_a_permutation():
 
 
 def test_permutation_matches_scalar_fisher_yates():
-    # the bulk draws are the scalar next_u64 stream: output k depends only on (key, k)
+    # the bulk draws are the one-at-a-time u64 stream: output k depends only on (key, k)
     for n in (0, 1, 2, 17, 1000):
         ref, r = list(range(n)), Rng(11)
         for i in range(n - 1, 0, -1):
-            j = r.next_u64() % (i + 1)
+            j = int(r.u64(1)[0]) % (i + 1)
             ref[i], ref[j] = ref[j], ref[i]
         rng = Rng(11)
         perm = rng.permutation(n)
         assert perm.dtype == np.int64 and perm.tolist() == ref, n
-        assert rng.next_u64() == r.next_u64()    # both consumed max(n - 1, 0) draws
+        assert rng.u64(1)[0] == r.u64(1)[0]      # both consumed max(n - 1, 0) draws
 
 
 @pytest.mark.parametrize("method, digest", [

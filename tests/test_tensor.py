@@ -153,8 +153,8 @@ def test_fold_random_shapes_match_loop_reference():
     # the loop reference within rounding and to the adjoint identity
     for seed in range(100):
         rng = Rng(3000 + seed)
-        c, b, k = 1 + rng.randint(3), 1 + rng.randint(4), 1 + rng.randint(4)
-        x_shape = (c, b, 1 + rng.randint(6), 1 + rng.randint(6))
+        c, b, k, h, w = (1 + rng.u64(5) % np.array([3, 4, 4, 6, 6], np.uint64)).tolist()
+        x_shape = (c, b, h, w)
         weights, u2 = random_fold_case(rng, x_shape, k)
         ref = col2im_reference(weights.reshape(k, -1).T @ u2, x_shape)
         for chunk in {1, 2, b}:
@@ -197,14 +197,9 @@ def test_conv_fast_matches_naive_random_shapes():
     # randomized shapes, strides and paddings
     for seed in range(40):
         rng = Rng(1000 + seed)
-        c = 1 + rng.randint(3)
-        h = 3 + rng.randint(6)
-        w_dim = 3 + rng.randint(6)
-        k = 1 + rng.randint(4)
-        m = 1 + rng.randint(3)
-        n = 1 + rng.randint(3)
-        stride = 1 + rng.randint(2)
-        pad = rng.randint(2)
+        draws = rng.u64(8) % np.array([3, 6, 6, 4, 3, 3, 2, 2], np.uint64)
+        c, h, w_dim, k, m, n, stride, pad = (draws + np.array([1, 3, 3, 1, 1, 1, 1, 0],
+                                                              np.uint64)).tolist()
         x = rng.uniforms(c * h * w_dim, -1, 1).reshape(c, h, w_dim).astype(np.float32)
         wt = rng.uniforms(k * c * m * n, -1, 1).reshape(k, c, m, n).astype(np.float32)
         b = rng.uniforms(k, -1, 1).astype(np.float32)

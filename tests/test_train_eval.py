@@ -142,8 +142,7 @@ def constant_predictor(arch, base_class, exp_class):
 
 def synthetic_samples(n, seed, hw=(16, 16)):
     rng = Rng(seed)
-    labels = np.array([(rng.randint(8), rng.randint(10)) for _ in range(n)],
-                      dtype=np.int64).reshape(n, 2)
+    labels = (rng.u64(2 * n).reshape(n, 2) % np.array([8, 10], np.uint64)).astype(np.int64)
     return Dataset(np.zeros((n, 1, *hw), dtype=np.uint8), labels[:, 0], labels[:, 1],
                    np.tile(np.array([2.0, 0.0, 0.0], dtype=np.float32), (n, 1)))
 
@@ -240,9 +239,9 @@ def test_histogram_uniform_binning():
 def test_histogram_conservation_random_bins():
     for seed in range(10):
         rng = Rng(seed)
-        n = 50 + rng.randint(200)
+        n = 50 + int(rng.u64(1)[0] % 200)
         values = rng.uniforms(n, -5, 5).tolist()
-        bins = 1 + rng.randint(12)
+        bins = 1 + int(rng.u64(1)[0] % 12)
         assert sum(c for _, c in histogram(values, bins=bins)) == n
 
 
