@@ -21,7 +21,8 @@ not on the image, so a worker thread draws it while the calling thread
 renders and blurs the chunk; the draw is numpy's sin, cos and log, which
 release the interpreter lock. Render, blur and the noise arithmetic stay on
 the calling thread. On 2 cores, in-process 128-sample sets at CHUNK 64 were
-1.2-1.6x as fast as drawing in line, and CHUNK 128 was not clearly faster.
+1.2-1.6x as fast as drawing in line, CHUNK 128 was not clearly faster, and
+``bench/run.py --workload data`` read 1.22x the samples/s (10 pairs).
 """
 
 from __future__ import annotations
